@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import Bandwidth, PointSet, ScaledDiff
-from .streams import check_seed, row_generator
+from .streams import check_seed, row_generators
 
 __all__ = [
     "Variant",
@@ -128,8 +128,7 @@ def sample_map(spec: FeatureMapSpec, dim: int) -> FeatureMap:
     scale = 1.0 / spec.sigma.sigma
     freq = np.empty((spec.size, dim))
     shifts = np.empty(spec.size) if spec.variant is Variant.COS_SHIFT else None
-    for row in range(spec.size):
-        gen = row_generator(spec.seed, row)
+    for row, gen in enumerate(row_generators(spec.seed, spec.size)):
         freq[row] = gen.standard_normal(dim) * scale
         if shifts is not None:
             # 2*pi*(1 - U) with U in [0, 1) lands in (0, 2*pi]
@@ -149,8 +148,8 @@ def embed(points: PointSet, fmap: FeatureMap) -> Embedding:
     if spec.variant is Variant.COS_SIN:
         amp = 1.0 / math.sqrt(spec.size)
         out = np.empty((points.n, 2 * spec.size))
-        out[:, 0::2] = np.cos(proj)
-        out[:, 1::2] = np.sin(proj)
+        np.cos(proj, out=out[:, 0::2])
+        np.sin(proj, out=out[:, 1::2])
         out *= amp
     else:
         amp = math.sqrt(2.0 / spec.size)

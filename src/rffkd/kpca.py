@@ -2,12 +2,15 @@
 
 The exact side forms the Gaussian Gram matrix, double-centers it, and sums
 the eigenvalues past the top k (the energy a rank-k kernel PCA leaves
-behind).  The approximate side never touches the Gram spectrum: it embeds
-the points, centers the embedding columns, and measures the squared
+behind).  The approximate side never touches the kernel Gram matrix: it
+embeds the points, centers the embedding columns, and measures the squared
 Frobenius residual after projecting rows onto their own top-k right
-singular subspace.  When the embedded inner products are close to the
-kernel, the residual is close to the exact tail energy, and
-kpca_experiment quantifies that over independently drawn maps.
+singular subspace.  That residual is the sum of the squared singular values
+past the top k, so it is read off the eigenvalues of the smaller of the
+embedding's two Gram products Q Q^T and Q^T Q, with no singular vectors
+formed.  When the embedded inner products are close to the kernel, the
+residual is close to the exact tail energy, and kpca_experiment quantifies
+that over independently drawn maps.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .features import FeatureMap, FeatureMapSpec, Variant, embed, sample_map
 from .kernel import Bandwidth, PointSet
@@ -72,8 +74,18 @@ class PcaReport:
 
 
 def gram_exact(points: PointSet, sigma: Bandwidth) -> GramMatrix:
-    """Exact Gaussian Gram matrix of a point set; symmetric, unit diagonal."""
-    sq = cdist(points.data, points.data, "sqeuclidean")
+    """Exact Gaussian Gram matrix of a point set; symmetric, unit diagonal.
+
+    Squared distances come from one matmul, |x_i|^2 + |x_j|^2 - 2 x_i.x_j,
+    clamped at 0, after the points are shifted to their mean.  The shift
+    leaves distances unchanged but keeps the cancellation small: the error
+    of an entry's exponent grows like eps * R^2 / sigma^2, where eps is the
+    float64 machine epsilon and R the radius of the set about its mean.
+    """
+    x = points.data - points.data.mean(axis=0)
+    norms = np.einsum("ij,ij->i", x, x)
+    sq = norms[:, None] + norms[None, :] - 2.0 * (x @ x.T)
+    np.maximum(sq, 0.0, out=sq)
     g = np.exp(sq * (-0.5 / sigma.sigma**2))
     g = 0.5 * (g + g.T)
     np.fill_diagonal(g, 1.0)
@@ -143,20 +155,24 @@ def exact_feature_embedding(gram: GramMatrix) -> np.ndarray:
 
 def residual_from_centered(q: np.ndarray, k: int) -> float:
     """Squared Frobenius residual of column-centered rows past their top-k
-    right singular subspace: ||Q - Q V_k V_k^T||_F^2 (k = 0 gives ||Q||_F^2)."""
+    right singular subspace: ||Q - Q V_k V_k^T||_F^2 (k = 0 gives ||Q||_F^2).
+
+    The residual equals the sum of the squared singular values of Q past the
+    top k, which are the eigenvalues of the smaller of Q Q^T and Q^T Q.  It
+    is summed directly over the smallest min(n, m) - k eigenvalues, each
+    clipped at 0, not formed as ||Q||_F^2 minus the top k, so a small tail
+    does not cancel away.  Unlike exact_tail_energy no relative floor is
+    applied: a genuine tail 1e-10 below the top eigenvalue is still resolved.
+    """
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 2:
         raise ValueError("expected a 2-d matrix of embedded rows")
     n, m = q.shape
     if int(k) != k or not (0 <= k < min(n, m)):
         raise ValueError(f"k must be an integer in [0, min(n, m)), got k={k} with shape {q.shape}")
-    k = int(k)
-    if k == 0:
-        return float(np.sum(q * q))
-    _, _, vt = np.linalg.svd(q, full_matrices=False)
-    vk = vt[:k]
-    resid = q - (q @ vk.T) @ vk
-    return float(np.sum(resid * resid))
+    gram = q @ q.T if n <= m else q.T @ q
+    vals = np.linalg.eigvalsh(gram)  # ascending
+    return float(np.sum(np.clip(vals[: min(n, m) - int(k)], 0.0, None)))
 
 
 def approx_residual(points: PointSet, fmap: FeatureMap, k: int) -> float:

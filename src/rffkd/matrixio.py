@@ -68,8 +68,11 @@ def write_csv(dest, data, header: bool = False) -> None:
     with _opened(dest, "w") as out:
         if header:
             out.write(",".join(f"c{j}" for j in range(arr.shape[1])) + "\n")
+        # One row at a time: a whole-matrix tolist() would hold every value
+        # as a Python float at once.
+        fmt = ",".join(["%.17g"] * arr.shape[1]) + "\n"
         for row in arr:
-            out.write(",".join(format(v, ".17g") for v in row) + "\n")
+            out.write(fmt % tuple(row.tolist()))
 
 
 def read_csv(src, header: bool = False) -> np.ndarray:

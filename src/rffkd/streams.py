@@ -10,9 +10,11 @@ fresh 64-bit seeds for sub-tasks from (seed, labels...) via derive_seed.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
-__all__ = ["check_seed", "row_generator", "generator", "derive_seed"]
+__all__ = ["check_seed", "row_generator", "row_generators", "generator", "derive_seed"]
 
 _SEED_BOUND = 1 << 64
 
@@ -42,6 +44,28 @@ def row_generator(seed: int, row: int) -> np.random.Generator:
     if not (0 <= row < _SEED_BOUND):
         raise ValueError(f"row index must lie in [0, 2^64), got {row}")
     return np.random.Generator(np.random.Philox(key=(seed << 64) | row))
+
+
+def row_generators(seed: int, rows: int) -> Iterator[np.random.Generator]:
+    """Generators for rows 0 .. rows-1 of a map, in order.
+
+    Each yielded generator draws exactly what row_generator(seed, row) draws,
+    but one Philox bit generator serves every row, which skips building a
+    Generator per row.  Before each row the bit generator is reset to the
+    state a freshly keyed Philox starts in (zero counter, empty output
+    buffer, no cached 32-bit half), with the key set to (seed << 64) | row.
+    A yielded generator is valid only until the next one is requested,
+    because all of them are the same object.
+    """
+    bitgen = np.random.Philox(key=check_seed(seed) << 64)
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state  # a snapshot, never updated by later draws
+    # The key's 64-bit words are stored least significant first: [row, seed].
+    key = fresh["state"]["key"]
+    for row in range(rows):
+        key[0] = row
+        bitgen.state = fresh
+        yield gen
 
 
 def generator(seed: int) -> np.random.Generator:

@@ -6,12 +6,16 @@ exercises the installed console script end to end.
 import csv
 import io
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rffkd
 from rffkd.cli import main
 from rffkd.matrixio import read_matrix, write_matrix
 
@@ -274,3 +278,25 @@ def test_console_script_end_to_end():
     )
     assert proc.returncode == 0
     assert "205" in proc.stdout
+
+
+def imports_scipy(statement):
+    """Whether a fresh interpreter has scipy loaded after the statement."""
+    env = dict(os.environ)
+    src = str(Path(rffkd.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = f"{statement}\nimport sys\nprint('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_out():
+    assert not imports_scipy("import rffkd.cli")
+
+
+def test_scipy_probe_sees_an_import():
+    """Negative control: the probe above reports scipy once something loads it."""
+    assert imports_scipy("import rffkd.cli\nimport scipy.spatial.distance")

@@ -29,6 +29,7 @@ from rffkd import (
     sq_distance_from_projections,
     sq_distance_from_scaled_norm,
 )
+import rffkd.features
 from rffkd.streams import check_seed, derive_seed, generator, row_generator
 
 mp.dps = 50
@@ -79,7 +80,52 @@ class TestStreams:
             assert 0 <= d < 2**64
 
 
+def rows_match_row_generator(fmap: FeatureMap) -> bool:
+    """Row r of the map equals, bit for bit, row_generator(seed, r)'s draws:
+    dim standard normals times 1/sigma, then for CosShift the row's phase."""
+    spec = fmap.spec
+    for row in range(spec.size):
+        gen = row_generator(spec.seed, row)
+        want = gen.standard_normal(fmap.dim) * (1.0 / spec.sigma.sigma)
+        if fmap.frequencies[row].tobytes() != want.tobytes():
+            return False
+        if fmap.shifts is not None:
+            shift = 2.0 * math.pi * (1.0 - gen.random())
+            if fmap.shifts[row:row + 1].tobytes() != np.float64(shift).tobytes():
+                return False
+    return True
+
+
+def rekey_keeping_buffer_pos(seed, rows):
+    """A faulty re-key: resets key, counter, buffer and cached half, but
+    leaves buffer_pos where the previous row's draws left it."""
+    bitgen = np.random.Philox(key=seed << 64)
+    gen = np.random.Generator(bitgen)
+    for row in range(rows):
+        state = bitgen.state
+        state["state"]["key"][0] = row
+        state["state"]["counter"][:] = 0
+        state["buffer"][:] = 0
+        state["has_uint32"] = state["uinteger"] = 0
+        bitgen.state = state
+        yield gen
+
+
 class TestSampleMap:
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_rows_equal_row_generator_draws(self, variant, seed):
+        fmap = sample_map(FeatureMapSpec(variant, Bandwidth(1.7), 40, seed), 5)
+        assert rows_match_row_generator(fmap)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_row_check_catches_stale_buffer_pos(self, variant, monkeypatch):
+        """Negative control: a re-key that forgets buffer_pos replays zeroed
+        buffer words into the next row, and the check above fails."""
+        monkeypatch.setattr(rffkd.features, "row_generators", rekey_keeping_buffer_pos)
+        fmap = sample_map(FeatureMapSpec(variant, Bandwidth(1.7), 40, 0), 5)
+        assert not rows_match_row_generator(fmap)
+
     def test_bit_identical_resampling(self):
         spec = cossin_spec(size=32, seed=99)
         a = sample_map(spec, 6)

@@ -41,6 +41,27 @@ def mp_eigenvalues_desc(a: np.ndarray) -> list:
     return sorted((vals[i] for i in range(a.shape[0])), reverse=True)
 
 
+def offset_cloud():
+    """Twenty points spread 0.01 about a common offset of 1e4 in R^3, the
+    second a 3e-7 near-duplicate of the first; paired with sigma = 0.01."""
+    rng = np.random.default_rng(21)
+    x = 1e4 + 0.01 * rng.standard_normal((20, 3))
+    x[1] = x[0] + np.array([3e-7, 0.0, 0.0])
+    return x
+
+
+def gram_error_vs_mpmath(g: np.ndarray, x: np.ndarray, sigma: float) -> float:
+    """Largest absolute gap between g and a 50-digit Gaussian kernel of x."""
+    pts = [[mp.mpf(float(v)) for v in row] for row in x]
+    scale = -1 / (2 * mp.mpf(sigma) ** 2)
+    worst = 0.0
+    for i, a in enumerate(pts):
+        for j, b in enumerate(pts):
+            want = mp.exp(scale * mp.fsum((u - v) ** 2 for u, v in zip(a, b)))
+            worst = max(worst, abs(float(g[i, j] - want)))
+    return worst
+
+
 class TestGramExact:
     def test_entries_match_pairwise_kernel(self):
         pts = small_points(6, 4)
@@ -62,6 +83,24 @@ class TestGramExact:
     def test_positive_semidefinite(self):
         g = gram_exact(small_points(60, 4, seed=3), Bandwidth(1.0)).g
         assert float(np.linalg.eigvalsh(g).min()) >= -1e-10
+
+    def test_offset_near_duplicates_match_mpmath(self):
+        """The matmul route stays accurate when the points sit far from the
+        origin: they are shifted to their mean before the cancellation."""
+        x = offset_cloud()
+        g = gram_exact(PointSet(x), Bandwidth(0.01)).g
+        assert gram_error_vs_mpmath(g, x, 0.01) <= 1e-12
+
+    def test_offset_check_catches_uncentered_matmul(self):
+        """Negative control: the same matmul without the shift to the mean
+        loses about eps * |x|^2 / sigma^2 and fails the check above."""
+        x = offset_cloud()
+        norms = np.sum(x * x, axis=1)
+        sq = np.maximum(norms[:, None] + norms[None, :] - 2.0 * (x @ x.T), 0.0)
+        g = np.exp(sq * (-0.5 / 0.01**2))
+        g = 0.5 * (g + g.T)
+        np.fill_diagonal(g, 1.0)
+        assert gram_error_vs_mpmath(g, x, 0.01) > 1e-12
 
     def test_marked_uncentered_and_readonly(self):
         gram = gram_exact(small_points(), Bandwidth(1.0))
@@ -142,7 +181,51 @@ class TestExactTailEnergy:
             exact_tail_energy(c, k)
 
 
+def small_tail_matrix(shape):
+    """Q = U diag(s) V^T with orthonormal U, V: three singular values of 10
+    and the rest 1e-4, so each tail eigenvalue is 1e-10 of the top one."""
+    n, m = shape
+    p = min(n, m)
+    rng = np.random.default_rng(22)
+    u, _ = np.linalg.qr(rng.standard_normal((n, p)))
+    v, _ = np.linalg.qr(rng.standard_normal((m, p)))
+    s = np.full(p, 1e-4)
+    s[:3] = 10.0
+    return (u * s) @ v.T
+
+
+def mp_tail(q: np.ndarray, k: int):
+    """Tail past k of the eigenvalues of Q's smaller Gram, at 50 digits."""
+    a = mp.matrix(q.tolist())
+    gram = a * a.T if q.shape[0] <= q.shape[1] else a.T * a
+    vals = sorted(mp.eigsy(gram, eigvals_only=True))
+    return float(mp.fsum(vals[: min(q.shape) - k]))
+
+
+def residual_with_relative_floor(q: np.ndarray, k: int) -> float:
+    """The residual with exact_tail_energy's floor: eigenvalues below 1e-10
+    of the largest are set to 0."""
+    gram = q @ q.T if q.shape[0] <= q.shape[1] else q.T @ q
+    vals = np.linalg.eigvalsh(gram)
+    vals[vals < 1e-10 * vals[-1]] = 0.0
+    return float(np.sum(vals[: min(q.shape) - k]))
+
+
 class TestResidualFromCentered:
+    @pytest.mark.parametrize("shape", [(40, 12), (12, 40)])
+    def test_small_tail_matches_mpmath(self, shape):
+        """A tail 1e-10 below the top eigenvalue is resolved, for tall and
+        wide Q alike."""
+        q = small_tail_matrix(shape)
+        assert residual_from_centered(q, 3) == pytest.approx(mp_tail(q, 3), rel=1e-5)
+
+    @pytest.mark.parametrize("shape", [(40, 12), (12, 40)])
+    def test_small_tail_check_catches_relative_floor(self, shape):
+        """Negative control: the relative floor that suits the centered
+        kernel Gram clamps part of this genuine tail and fails the check."""
+        q = small_tail_matrix(shape)
+        assert residual_with_relative_floor(q, 3) != pytest.approx(mp_tail(q, 3), rel=1e-5)
+
     def test_k_zero_is_squared_frobenius(self):
         rng = np.random.default_rng(4)
         q = rng.standard_normal((8, 5))
