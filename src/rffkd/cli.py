@@ -14,10 +14,10 @@ import sys
 from contextlib import contextmanager
 
 from .experiments import PairExperimentConfig, gen_grid_stress, pairs_experiment, synth_dataset
-from .features import FeatureMapSpec, Variant, embed, sample_map
+from .features import FeatureMapSpec, Variant, embed_blocks, sample_map
 from .kernel import Bandwidth, PointSet
 from .kpca import kpca_experiment
-from .matrixio import FORMATS, MatrixFormatError, read_matrix, write_matrix
+from .matrixio import FORMATS, MatrixFormatError, read_matrix, write_blocks
 from .planner import DimensionRequest, plan
 from .verify import run_battery
 
@@ -47,10 +47,10 @@ def _open_output(path: str | None, binary: bool = False):
             yield handle
 
 
-def _write_matrix_output(args, data) -> None:
+def _write_matrix_output(args, blocks, shape) -> None:
     binary = args.output_format == "raw-f64"
     with _open_output(args.output, binary=binary) as out:
-        write_matrix(out, data, fmt=args.output_format)
+        write_blocks(out, blocks, shape, fmt=args.output_format)
 
 
 def _parse_t_list(text: str) -> tuple[int, ...]:
@@ -168,8 +168,9 @@ def _cmd_embed(args) -> int:
     spec = FeatureMapSpec(
         variant=Variant(args.variant), sigma=Bandwidth(args.sigma), size=args.t, seed=args.seed
     )
-    emb = embed(points, sample_map(spec, points.dim))
-    _write_matrix_output(args, emb.features)
+    # one block of output in memory at a time, whatever n * output_dim is
+    blocks = embed_blocks(points, sample_map(spec, points.dim))
+    _write_matrix_output(args, blocks, (points.n, spec.output_dim))
     return 0
 
 
@@ -228,7 +229,7 @@ def _cmd_kpca(args) -> int:
         variant=Variant(args.variant),
     )
     columns = ["sigma", "t", "k", "R_exact", "R_approx", "rel_err"]
-    rows = [[r.sigma, r.t, r.k, r.r_exact, r.r_approx, r.rel_err_mean] for r in reports]
+    rows = [[r.sigma, r.t, r.k, r.r_exact, r.r_approx, r.rel_err] for r in reports]
     with _open_output(args.output) as out:
         _write_report_csv(out, columns, rows)
     return 0
@@ -277,7 +278,7 @@ def _cmd_gen(args) -> int:
             raise ValueError("--diameter is required for --kind grid")
         dim = 2 if args.dim is None else args.dim
         points = gen_grid_stress(dim, args.diameter, Bandwidth(args.sigma), args.epsilon)
-    _write_matrix_output(args, points.data)
+    _write_matrix_output(args, [points.data], points.data.shape)
     return 0
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "ApproxKernelPair",
     "sample_map",
     "embed",
+    "embed_blocks",
     "approx_kernel",
     "approx_distance",
     "approx_kernel_pair",
@@ -139,23 +140,71 @@ def sample_map(spec: FeatureMapSpec, dim: int) -> FeatureMap:
     return FeatureMap(spec=spec, frequencies=freq, shifts=shifts)
 
 
-def embed(points: PointSet, fmap: FeatureMap) -> Embedding:
-    """Apply the map to every row of points."""
-    if points.dim != fmap.dim:
-        raise ValueError(f"dimension mismatch: points have dim {points.dim}, map has dim {fmap.dim}")
-    proj = points.data @ fmap.frequencies.T  # n x size
+# Output bytes per row block of embed and embed_blocks.  Features of a point
+# depend only on that point and the map, so blocks change nothing but peak
+# memory, which is one block of output plus its projection.
+BLOCK_BYTES = 2 * 1024 * 1024
+
+
+def _row_blocks(n: int, output_dim: int):
+    """(start, stop) row ranges covering range(n) in order.
+
+    Blocks hold max(2, BLOCK_BYTES // (8 * output_dim)) rows.  A lone last
+    row joins the block before it: numpy sends a 1-row product through gemv,
+    whose sums can differ in the last bit from the same row inside a gemm,
+    so only n = 1 is ever embedded as a single row.
+    """
+    rows = max(2, BLOCK_BYTES // (8 * output_dim))
+    start = 0
+    while start < n:
+        stop = n if n - start <= rows + 1 else start + rows
+        yield start, stop
+        start = stop
+
+
+def _embed_rows(data: np.ndarray, fmap: FeatureMap, out: np.ndarray) -> None:
+    """Features of the rows of data, written into out (rows x output_dim)."""
+    proj = data @ fmap.frequencies.T  # rows x size
     spec = fmap.spec
     if spec.variant is Variant.COS_SIN:
-        amp = 1.0 / math.sqrt(spec.size)
-        out = np.empty((points.n, 2 * spec.size))
         np.cos(proj, out=out[:, 0::2])
         np.sin(proj, out=out[:, 1::2])
-        out *= amp
+        out *= 1.0 / math.sqrt(spec.size)
     else:
-        amp = math.sqrt(2.0 / spec.size)
-        out = amp * np.cos(proj + fmap.shifts)
+        proj += fmap.shifts
+        np.cos(proj, out=out)
+        out *= math.sqrt(2.0 / spec.size)
+
+
+def _check_dims(points: PointSet, fmap: FeatureMap) -> None:
+    if points.dim != fmap.dim:
+        raise ValueError(f"dimension mismatch: points have dim {points.dim}, map has dim {fmap.dim}")
+
+
+def embed(points: PointSet, fmap: FeatureMap) -> Embedding:
+    """Apply the map to every row of points."""
+    _check_dims(points, fmap)
+    out = np.empty((points.n, fmap.spec.output_dim))
+    for start, stop in _row_blocks(points.n, fmap.spec.output_dim):
+        _embed_rows(points.data[start:stop], fmap, out[start:stop])
     out.setflags(write=False)
-    return Embedding(features=out, spec=spec)
+    return Embedding(features=out, spec=fmap.spec)
+
+
+def embed_blocks(points: PointSet, fmap: FeatureMap):
+    """The rows of embed(points, fmap).features, as fresh consecutive row blocks.
+
+    The dimension check runs at the call, before any block is made.
+    """
+    _check_dims(points, fmap)
+    return _blocks(points, fmap)
+
+
+def _blocks(points: PointSet, fmap: FeatureMap):
+    for start, stop in _row_blocks(points.n, fmap.spec.output_dim):
+        out = np.empty((stop - start, fmap.spec.output_dim))
+        _embed_rows(points.data[start:stop], fmap, out)
+        yield out
 
 
 def _check_rows(ex: np.ndarray, ey: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,6 +24,7 @@ __all__ = [
     "MatrixFormatError",
     "read_matrix",
     "write_matrix",
+    "write_blocks",
     "read_csv",
     "write_csv",
     "read_raw",
@@ -53,6 +54,23 @@ def _check_matrix(data) -> np.ndarray:
     return arr
 
 
+def _checked_blocks(blocks, n: int, d: int):
+    """The blocks as float64 arrays, checked to stack into exactly n x d."""
+    done = 0
+    for block in blocks:
+        block = np.asarray(block, dtype=np.float64)
+        if block.ndim != 2:
+            raise ValueError(f"row block must be 2-d, got shape {block.shape}")
+        if block.shape[1] != d:
+            raise ValueError(f"row block has {block.shape[1]} columns, declared {d}")
+        done += block.shape[0]
+        if done > n:
+            raise ValueError(f"row blocks deliver more than the declared {n} rows")
+        yield block
+    if done != n:
+        raise ValueError(f"row blocks delivered {done} rows, declared {n}")
+
+
 @contextmanager
 def _opened(src, mode: str):
     if isinstance(src, (str, PathLike)):
@@ -64,15 +82,20 @@ def _opened(src, mode: str):
 
 def write_csv(dest, data, header: bool = False) -> None:
     """Write a matrix as CSV with 17 significant digits per value."""
-    arr = _check_matrix(data)
+    write_matrix(dest, data, fmt="csv", header=header)
+
+
+def _write_csv_blocks(dest, blocks, shape, header: bool) -> None:
+    n, d = shape
     with _opened(dest, "w") as out:
         if header:
-            out.write(",".join(f"c{j}" for j in range(arr.shape[1])) + "\n")
-        # One row at a time: a whole-matrix tolist() would hold every value
+            out.write(",".join(f"c{j}" for j in range(d)) + "\n")
+        # One row at a time: a whole-block tolist() would hold every value
         # as a Python float at once.
-        fmt = ",".join(["%.17g"] * arr.shape[1]) + "\n"
-        for row in arr:
-            out.write(fmt % tuple(row.tolist()))
+        fmt = ",".join(["%.17g"] * d) + "\n"
+        for block in _checked_blocks(blocks, n, d):
+            for row in block:
+                out.write(fmt % tuple(row.tolist()))
 
 
 def read_csv(src, header: bool = False) -> np.ndarray:
@@ -92,17 +115,26 @@ def read_csv(src, header: bool = False) -> np.ndarray:
 
 def write_raw(dest, data) -> None:
     """Write the raw-f64 format: magic, u32 n, u32 d, row-major f64 payload."""
-    arr = _check_matrix(data)
-    n, d = arr.shape
+    write_matrix(dest, data, fmt="raw-f64")
+
+
+def _write_raw_blocks(dest, blocks, shape) -> None:
+    n, d = shape
     if n >= 1 << 32 or d >= 1 << 32:
-        raise ValueError(f"matrix shape {arr.shape} does not fit u32 header fields")
+        raise ValueError(f"matrix shape {shape} does not fit u32 header fields")
     with _opened(dest, "wb") as out:
         out.write(_HEADER.pack(MAGIC, n, d))
-        out.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for block in _checked_blocks(blocks, n, d):
+            # a view of the block's bytes: no copy when it is already <f8 and contiguous
+            out.write(memoryview(np.ascontiguousarray(block, dtype="<f8")))
 
 
 def read_raw(src) -> np.ndarray:
-    """Read the raw-f64 format, validating magic, header, and payload size."""
+    """Read the raw-f64 format, validating magic, header, and payload size.
+
+    The result is a read-only view of the bytes read, so the payload is held
+    in memory once.
+    """
     with _opened(src, "rb") as handle:
         buf = handle.read()
     if len(buf) < _HEADER.size:
@@ -125,15 +157,29 @@ def read_raw(src) -> np.ndarray:
             f"trailing bytes after {n}x{d} payload: expected {expected} bytes, file has {len(buf)}",
             offset=expected,
         )
-    return np.frombuffer(buf, dtype="<f8", offset=_HEADER.size).astype(np.float64).reshape(n, d)
+    return np.frombuffer(buf, dtype="<f8", offset=_HEADER.size).reshape(n, d)
 
 
 def write_matrix(dest, data, fmt: str = "csv", header: bool = False) -> None:
     """Write a matrix in the named format ("csv" or "raw-f64")."""
+    arr = _check_matrix(data)
+    write_blocks(dest, [arr], arr.shape, fmt=fmt, header=header)
+
+
+def write_blocks(dest, blocks, shape, fmt: str = "csv", header: bool = False) -> None:
+    """Write an n x d matrix, given as an iterable of row blocks, in the named format.
+
+    Blocks are consumed one at a time, so only the block being written needs
+    to be in memory.  ValueError if the blocks do not stack into exactly the
+    declared shape (n, d), or if it is empty.
+    """
+    n, d = (int(v) for v in shape)
+    if n < 1 or d < 1:
+        raise ValueError(f"expected a non-empty 2-d matrix, got shape {tuple(shape)}")
     if fmt == "csv":
-        write_csv(dest, data, header=header)
+        _write_csv_blocks(dest, blocks, (n, d), header)
     elif fmt == "raw-f64":
-        write_raw(dest, data)
+        _write_raw_blocks(dest, blocks, (n, d))
     else:
         raise ValueError(f"unknown matrix format {fmt!r}; choose from {FORMATS}")
 

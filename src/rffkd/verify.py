@@ -92,8 +92,10 @@ def check_unbiasedness(delta_norm: float, samples: int, seed: int) -> VerifyRepo
     r = _check_scaled_norm(delta_norm)
     if samples < 2:
         raise ValueError("need at least two samples")
-    w = _generator(seed).standard_normal(samples)
-    vals = np.cos(w * r)
+    # cos(w r) in place: one array of samples besides std's temporary
+    vals = _generator(seed).standard_normal(samples)
+    vals *= r
+    np.cos(vals, out=vals)
     std_err = float(vals.std(ddof=1) / math.sqrt(samples))
     return _two_sided(
         f"inner_product_unbiased[r={r:g}]", samples, float(vals.mean()), kernel_from_scaled_norm(r), std_err
@@ -111,9 +113,15 @@ def check_shift_unbiasedness(delta_norm: float, samples: int, seed: int) -> Veri
     if samples < 2:
         raise ValueError("need at least two samples")
     gen = _generator(seed)
-    w = gen.standard_normal(samples)
+    vals = gen.standard_normal(samples)
     g = 2.0 * math.pi * (1.0 - gen.random(samples))
-    vals = 2.0 * np.cos(w * r + g) * np.cos(g)
+    # 2 cos(w r + g) cos(g) in place, and g dropped before std's temporary
+    vals *= r
+    vals += g
+    np.cos(vals, out=vals)
+    vals *= 2.0
+    vals *= np.cos(g, out=g)
+    del g
     std_err = float(vals.std(ddof=1) / math.sqrt(samples))
     return _two_sided(
         f"shifted_inner_product_unbiased[r={r:g}]",
@@ -201,8 +209,13 @@ def check_mgf_bound(delta_norm: float, s: float, samples: int, seed: int) -> Ver
     window = math.inf if r == 0.0 else 1.0 / (2.0 * r * r)
     if not (0.0 <= s < window):
         raise ValueError(f"s must lie in [0, {window:g}) for r={r:g}, got {s}")
-    w = _generator(seed).standard_normal(samples)
-    x = np.exp(s * (kernel_from_scaled_norm(r) - np.cos(w * r)))
+    # exp(s (K - cos(w r))) in place: one array of samples besides std's temporary
+    x = _generator(seed).standard_normal(samples)
+    x *= r
+    np.cos(x, out=x)
+    np.subtract(kernel_from_scaled_norm(r), x, out=x)
+    x *= s
+    np.exp(x, out=x)
     mean = float(x.mean())
     statistic = math.log(mean)
     std_err = float(x.std(ddof=1) / (mean * math.sqrt(samples)))

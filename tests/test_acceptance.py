@@ -207,7 +207,7 @@ def test_09_kpca_residual_convergence():
     each step by a factor in [1.3, 3.1]."""
     pts = synth_dataset(500, 20, 10, seed=0)
     reports = kpca_experiment(pts, Bandwidth(1.5), 40, [50, 200, 800], trials=10, seed=0)
-    errs = [r.rel_err_mean for r in reports]
+    errs = [r.rel_err for r in reports]
     factors = [errs[0] / errs[1], errs[1] / errs[2]]
     ok = errs[0] > errs[1] > errs[2] and all(1.3 <= f <= 3.1 for f in factors)
     report(

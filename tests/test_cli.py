@@ -10,12 +10,15 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rffkd
+import rffkd.features
+from rffkd import Bandwidth, FeatureMapSpec, PointSet, Variant, embed, sample_map
 from rffkd.cli import main
 from rffkd.matrixio import read_matrix, write_matrix
 
@@ -148,6 +151,55 @@ class TestEmbed:
     def test_missing_file_is_error(self, tmp_path, capsys):
         rc, _, err = run_cli(capsys, "embed", "--input", str(tmp_path / "nope.csv"))
         assert rc == 2 and "rffkd: error:" in err
+
+
+BLOCK_ROWS = 5  # rows per embed block in the streaming tests
+
+
+class TestEmbedStreaming:
+    @pytest.mark.parametrize("fmt", ["csv", "raw-f64"])
+    @pytest.mark.parametrize("variant", [v.value for v in Variant])
+    @pytest.mark.parametrize(
+        "n", [1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+    )
+    def test_output_bytes_equal_whole_matrix(self, tmp_path, capsys, monkeypatch, fmt, variant, n):
+        """Block by block, the CLI writes the bytes of the one-product embedding."""
+        pts = np.random.default_rng(n).standard_normal((n, 5))
+        src = tmp_path / "pts.bin"
+        write_matrix(src, pts, fmt="raw-f64")
+        fmap = sample_map(FeatureMapSpec(Variant(variant), Bandwidth(0.7), 64, 9), 5)
+        whole = tmp_path / "whole"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rffkd.features, "BLOCK_BYTES", 1 << 62)
+            write_matrix(whole, embed(PointSet(pts), fmap).features, fmt=fmt)
+        monkeypatch.setattr(rffkd.features, "BLOCK_BYTES", BLOCK_ROWS * 8 * fmap.spec.output_dim)
+        dest = tmp_path / "cli"
+        rc, _, err = run_cli(
+            capsys, "--seed", "9", "--sigma", "0.7", "--t", "64", "--variant", variant,
+            "embed", "--input", str(src), "--input-format", "raw-f64",
+            "--output", str(dest), "--output-format", fmt,
+        )
+        assert rc == 0 and err == ""
+        assert dest.read_bytes() == whole.read_bytes()
+
+    def test_memory_bounded_by_blocks_not_output(self, tmp_path):
+        """20000 x 800 output is 128 MB; the CLI holds a few blocks plus the input."""
+        pts = np.random.default_rng(0).standard_normal((20000, 8))
+        src, dest = tmp_path / "pts.bin", tmp_path / "emb.bin"
+        write_matrix(src, pts, fmt="raw-f64")
+        tracemalloc.start()
+        try:
+            rc = main([
+                "--t", "400", "embed", "--input", str(src), "--input-format", "raw-f64",
+                "--output", str(dest), "--output-format", "raw-f64",
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert dest.stat().st_size == 12 + 8 * 20000 * 800
+        dest.unlink()
+        assert peak <= 4 * rffkd.features.BLOCK_BYTES + 3 * pts.nbytes
 
 
 class TestGen:

@@ -30,6 +30,7 @@ from rffkd import (
     sq_distance_from_scaled_norm,
 )
 import rffkd.features
+from rffkd.features import embed_blocks
 from rffkd.streams import check_seed, derive_seed, generator, row_generator
 
 mp.dps = 50
@@ -333,6 +334,85 @@ class TestEmbedCosShift:
         b = fmap.frequencies @ y
         want = float(np.mean(np.cos(a - b) + np.cos(a + b + 2 * fmap.shifts)))
         assert got == pytest.approx(want, abs=1e-12)
+
+
+BLOCK_ROWS = 5  # rows per block in the block-boundary tests
+BOUNDARY_NS = (1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1)
+
+
+def block_case(variant, n):
+    points = PointSet(np.random.default_rng(n).standard_normal((n, 5)))
+    return points, sample_map(FeatureMapSpec(variant, Bandwidth(0.7), 64, 9), 5)
+
+
+def whole_matrix_features(points, fmap) -> np.ndarray:
+    """embed with every row in one block: one product for the whole matrix."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rffkd.features, "BLOCK_BYTES", 1 << 62)
+        return embed(points, fmap).features
+
+
+def use_small_blocks(monkeypatch, output_dim):
+    monkeypatch.setattr(rffkd.features, "BLOCK_BYTES", BLOCK_ROWS * 8 * output_dim)
+
+
+def one_row_tail_blocks(n, output_dim):
+    """Fixed-size blocks: when n = 1 mod rows the last block is a single row."""
+    rows = max(2, rffkd.features.BLOCK_BYTES // (8 * output_dim))
+    for start in range(0, n, rows):
+        yield start, min(n, start + rows)
+
+
+class TestEmbedBlocks:
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("n", BOUNDARY_NS)
+    def test_blocks_equal_whole_matrix_bits(self, monkeypatch, variant, n):
+        points, fmap = block_case(variant, n)
+        whole = whole_matrix_features(points, fmap)
+        use_small_blocks(monkeypatch, fmap.spec.output_dim)
+        blocks = list(embed_blocks(points, fmap))
+        assert sum(b.shape[0] for b in blocks) == n
+        assert np.vstack(blocks).tobytes() == whole.tobytes()
+        assert embed(points, fmap).features.tobytes() == whole.tobytes()
+
+    def test_one_row_tail_breaks_bit_equality(self, monkeypatch):
+        """Negative control: a lone last row goes through a 1-row product,
+        whose bits differ from the same row inside the whole-matrix product."""
+        points, fmap = block_case(Variant.COS_SIN, 2 * BLOCK_ROWS + 1)
+        whole = whole_matrix_features(points, fmap)
+        use_small_blocks(monkeypatch, fmap.spec.output_dim)
+        monkeypatch.setattr(rffkd.features, "_row_blocks", one_row_tail_blocks)
+        got = np.vstack(list(embed_blocks(points, fmap)))
+        assert got[:-1].tobytes() == whole[:-1].tobytes()
+        assert got[-1].tobytes() != whole[-1].tobytes()
+
+    def test_row_blocks_tile_rows_without_a_lone_row(self, monkeypatch):
+        use_small_blocks(monkeypatch, 16)
+        for n in range(1, 4 * BLOCK_ROWS):
+            blocks = list(rffkd.features._row_blocks(n, 16))
+            assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+            assert blocks[-1][1] == n
+            sizes = [stop - start for start, stop in blocks]
+            assert all(2 <= s <= BLOCK_ROWS + 1 for s in sizes) or sizes == [1] == [n]
+
+    def test_default_blocks_hold_about_block_bytes(self):
+        rows = [stop - start for start, stop in rffkd.features._row_blocks(10**6, 1600)]
+        assert max(rows) * 8 * 1600 <= rffkd.features.BLOCK_BYTES + 8 * 1600
+        assert min(rows) >= 2
+        assert [stop - start for start, stop in rffkd.features._row_blocks(5, 16)] == [5]
+        # rows wider than a block still go two at a time
+        assert [stop - start for start, stop in rffkd.features._row_blocks(5, 10**7)] == [2, 3]
+
+    def test_blocks_are_fresh_arrays(self, monkeypatch):
+        points, fmap = block_case(Variant.COS_SIN, 2 * BLOCK_ROWS)
+        use_small_blocks(monkeypatch, fmap.spec.output_dim)
+        first, second = embed_blocks(points, fmap)
+        assert first.flags.writeable and first.flags.c_contiguous
+        assert not np.shares_memory(first, second)
+
+    def test_dimension_mismatch_rejected_at_call(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            embed_blocks(PointSet(np.zeros((1, 3))), sample_map(cossin_spec(), 4))
 
 
 class TestProjections:

@@ -7,12 +7,21 @@ layout, and every failure mode must report the right byte offset.
 
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rffkd import MatrixFormatError, read_matrix, write_matrix
-from rffkd.matrixio import FORMATS, MAGIC, read_csv, read_raw, write_csv, write_raw
+from rffkd.matrixio import (
+    FORMATS,
+    MAGIC,
+    read_csv,
+    read_raw,
+    write_blocks,
+    write_csv,
+    write_raw,
+)
 
 
 def awkward_matrix():
@@ -164,6 +173,76 @@ class TestRaw:
         path.write_bytes(b"XX")
         with pytest.raises(MatrixFormatError, match=r"byte offset 2"):
             read_raw(path)
+
+
+class TestReadRawMemory:
+    def test_payload_held_once(self, tmp_path):
+        """The read keeps the bytes it read; a converted copy would double the peak."""
+        a = np.random.default_rng(1).standard_normal((512, 1024))
+        path = tmp_path / "m.bin"
+        write_raw(path, a)
+        tracemalloc.start()
+        try:
+            b = read_raw(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert b.tobytes() == a.tobytes()
+        assert peak <= 1.25 * a.nbytes
+
+
+class TestWriteBlocks:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_blocks_write_the_stacked_matrix(self, tmp_path, fmt):
+        a = awkward_matrix()
+        write_matrix(tmp_path / "whole", a, fmt=fmt)
+        write_blocks(tmp_path / "blocks", [a[:2], a[2:2], a[2:5], a[5:]], a.shape, fmt=fmt)
+        assert (tmp_path / "blocks").read_bytes() == (tmp_path / "whole").read_bytes()
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_blocks_are_consumed_lazily(self, fmt):
+        """A block is written before the next one is made."""
+        buf = io.StringIO() if fmt == "csv" else io.BytesIO()
+        sizes = []
+
+        def blocks():
+            for _ in range(3):
+                sizes.append(len(buf.getvalue()))
+                yield np.ones((2, 3))
+
+        write_blocks(buf, blocks(), (6, 3), fmt=fmt)
+        assert sizes[0] < sizes[1] < sizes[2] < len(buf.getvalue())
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize(
+        "blocks, match",
+        [
+            ([np.ones((2, 3)), np.ones((2, 3))], "more than the declared 3 rows"),
+            ([np.ones((2, 3))], "delivered 2 rows, declared 3"),
+            ([], "delivered 0 rows, declared 3"),
+            ([np.ones((3, 2))], "2 columns, declared 3"),
+            ([np.ones(3)], "must be 2-d"),
+            ([np.ones((1, 3, 1))], "must be 2-d"),
+        ],
+    )
+    def test_shape_mismatch_rejected(self, fmt, blocks, match):
+        buf = io.StringIO() if fmt == "csv" else io.BytesIO()
+        with pytest.raises(ValueError, match=match):
+            write_blocks(buf, blocks, (3, 3), fmt=fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_declared_shape_rejected(self, fmt, shape):
+        buf = io.StringIO() if fmt == "csv" else io.BytesIO()
+        with pytest.raises(ValueError, match="non-empty"):
+            write_blocks(buf, [np.zeros(shape)], shape, fmt=fmt)
+
+    @pytest.mark.parametrize("shape", [(1 << 32, 1), (1, 1 << 32)])
+    def test_raw_header_must_fit_u32(self, shape):
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match="u32"):
+            write_blocks(buf, [], shape, fmt="raw-f64")
+        assert buf.getvalue() == b""
 
 
 class TestDispatch:
