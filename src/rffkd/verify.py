@@ -17,6 +17,7 @@ the full object.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,6 +84,19 @@ def _check_scaled_norm(delta_norm: float) -> float:
     return delta_norm
 
 
+def _mean_std_in_place(vals: np.ndarray) -> tuple[float, float]:
+    """(vals.mean(), vals.std(ddof=1)) without std's temporary; overwrites vals.
+
+    The same numpy operations as numpy's own mean and var (pairwise sum,
+    subtract the mean, square, pairwise sum, divide by n - 1), so both values
+    are bit-identical to theirs.
+    """
+    m = vals.mean()
+    vals -= m
+    vals *= vals
+    return float(m), float(np.sqrt(np.add.reduce(vals) / (vals.size - 1)))
+
+
 def check_unbiasedness(delta_norm: float, samples: int, seed: int) -> VerifyReport:
     """E[cos(w r)] over w ~ N(0,1) equals exp(-r^2/2).
 
@@ -92,13 +106,17 @@ def check_unbiasedness(delta_norm: float, samples: int, seed: int) -> VerifyRepo
     r = _check_scaled_norm(delta_norm)
     if samples < 2:
         raise ValueError("need at least two samples")
-    # cos(w r) in place: one array of samples besides std's temporary
+    # cos(w r) in place: one array of samples
     vals = _generator(seed).standard_normal(samples)
     vals *= r
     np.cos(vals, out=vals)
-    std_err = float(vals.std(ddof=1) / math.sqrt(samples))
+    mean, std = _mean_std_in_place(vals)
     return _two_sided(
-        f"inner_product_unbiased[r={r:g}]", samples, float(vals.mean()), kernel_from_scaled_norm(r), std_err
+        f"inner_product_unbiased[r={r:g}]",
+        samples,
+        mean,
+        kernel_from_scaled_norm(r),
+        std / math.sqrt(samples),
     )
 
 
@@ -114,21 +132,23 @@ def check_shift_unbiasedness(delta_norm: float, samples: int, seed: int) -> Veri
         raise ValueError("need at least two samples")
     gen = _generator(seed)
     vals = gen.standard_normal(samples)
-    g = 2.0 * math.pi * (1.0 - gen.random(samples))
-    # 2 cos(w r + g) cos(g) in place, and g dropped before std's temporary
+    # g = 2 pi (1 - u) and 2 cos(w r + g) cos(g), all in place: two arrays of samples
+    g = gen.random(samples)
+    np.subtract(1.0, g, out=g)
+    g *= 2.0 * math.pi
     vals *= r
     vals += g
     np.cos(vals, out=vals)
     vals *= 2.0
     vals *= np.cos(g, out=g)
     del g
-    std_err = float(vals.std(ddof=1) / math.sqrt(samples))
+    mean, std = _mean_std_in_place(vals)
     return _two_sided(
         f"shifted_inner_product_unbiased[r={r:g}]",
         samples,
-        float(vals.mean()),
+        mean,
         kernel_from_scaled_norm(r),
-        std_err,
+        std / math.sqrt(samples),
     )
 
 
@@ -209,16 +229,16 @@ def check_mgf_bound(delta_norm: float, s: float, samples: int, seed: int) -> Ver
     window = math.inf if r == 0.0 else 1.0 / (2.0 * r * r)
     if not (0.0 <= s < window):
         raise ValueError(f"s must lie in [0, {window:g}) for r={r:g}, got {s}")
-    # exp(s (K - cos(w r))) in place: one array of samples besides std's temporary
+    # exp(s (K - cos(w r))) in place: one array of samples
     x = _generator(seed).standard_normal(samples)
     x *= r
     np.cos(x, out=x)
     np.subtract(kernel_from_scaled_norm(r), x, out=x)
     x *= s
     np.exp(x, out=x)
-    mean = float(x.mean())
+    mean, std = _mean_std_in_place(x)
     statistic = math.log(mean)
-    std_err = float(x.std(ddof=1) / (mean * math.sqrt(samples)))
+    std_err = std / (mean * math.sqrt(samples))
     bound = 0.25 * s * s * r**4
     return _one_sided(f"centered_cosine_mgf[r={r:g},s={s:g}]", samples, statistic, bound, std_err)
 
@@ -306,27 +326,43 @@ def check_tail_bound(
 
 
 def run_battery(seed: int, samples: int = 1_000_000) -> list[VerifyReport]:
-    """Run every check at its reference setting; order is stable."""
+    """Run every check at its reference setting; order is stable.
+
+    The checks are independent and spend their time in numpy calls that
+    release the GIL, so they run on a thread pool sized to the CPUs this
+    process may use.  Results are read in submission order, so the reports,
+    and any exception a check raises, are those of running them one by one.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
     from .features import FeatureMapSpec, Variant, sample_map
     from .kernel import Bandwidth
 
     seed = check_seed(seed)
-    reports = [
-        check_unbiasedness(0.1, samples, derive_seed(seed, 1)),
-        check_unbiasedness(1.0, samples, derive_seed(seed, 2)),
-        check_unbiasedness(3.0, samples, derive_seed(seed, 3)),
-        check_shift_unbiasedness(1.0, samples, derive_seed(seed, 4)),
-        check_chi_square(0.3, 0.2, 1000, derive_seed(seed, 5)),
-    ]
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 2:
+        raise ValueError(f"samples must be an integer >= 2, got {samples!r}")
     sigma = Bandwidth(1.0)
     gen = _generator(derive_seed(seed, 6))
     diff = ScaledDiff(gen.standard_normal(8) / math.sqrt(8.0))
     fmap = sample_map(
         FeatureMapSpec(variant=Variant.COS_SIN, sigma=sigma, size=64, seed=derive_seed(seed, 7)), 8
     )
-    reports.append(check_limit_ratio(diff, fmap, [1.0, 1e-2, 1e-4, 1e-6]))
-    reports.append(check_mgf_bound(0.5, 1.0, samples, derive_seed(seed, 8)))
-    reports.append(check_mgf_bound(1.0, 0.4, samples, derive_seed(seed, 9)))
-    reports.append(check_scale_sweep(0.2, 0.1, derive_seed(seed, 10)))
-    reports.append(check_tail_bound(0.5, 0.25, 0.1, 1000, derive_seed(seed, 11)))
-    return reports
+    checks = [
+        (check_unbiasedness, 0.1, samples, derive_seed(seed, 1)),
+        (check_unbiasedness, 1.0, samples, derive_seed(seed, 2)),
+        (check_unbiasedness, 3.0, samples, derive_seed(seed, 3)),
+        (check_shift_unbiasedness, 1.0, samples, derive_seed(seed, 4)),
+        (check_chi_square, 0.3, 0.2, 1000, derive_seed(seed, 5)),
+        (check_limit_ratio, diff, fmap, [1.0, 1e-2, 1e-4, 1e-6]),
+        (check_mgf_bound, 0.5, 1.0, samples, derive_seed(seed, 8)),
+        (check_mgf_bound, 1.0, 0.4, samples, derive_seed(seed, 9)),
+        (check_scale_sweep, 0.2, 0.1, derive_seed(seed, 10)),
+        (check_tail_bound, 0.5, 0.25, 0.1, 1000, derive_seed(seed, 11)),
+    ]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=min(len(checks), cpus)) as pool:
+        futures = [pool.submit(fn, *args) for fn, *args in checks]
+        return [f.result() for f in futures]

@@ -305,6 +305,13 @@ class TestVerify:
         flags = [r[-1] for r in rows]
         assert "false" in flags and "true" in flags
 
+    @pytest.mark.parametrize("samples", ["1", "-5"])
+    def test_too_few_samples_is_error(self, capsys, samples):
+        rc, out, err = run_cli(capsys, "verify", "--samples", samples)
+        assert rc == 2
+        assert out == ""
+        assert f"samples must be an integer >= 2, got {samples}" in err
+
 
 class TestParser:
     def test_unknown_subcommand_exits_via_argparse(self):

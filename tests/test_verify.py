@@ -7,13 +7,18 @@ Also holds the deterministic per-draw sandwich on the squared-distance
 ratio, which needs no Monte Carlo allowance at all.
 """
 
+import concurrent.futures
 import math
+import os
 import re
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from mpmath import mp
 
+import rffkd.verify as verify
 from rffkd import (
     Bandwidth,
     FeatureMapSpec,
@@ -33,9 +38,79 @@ from rffkd import (
     sq_distance_from_projections,
     sq_distance_from_scaled_norm,
 )
-from rffkd.streams import generator
+from rffkd.streams import derive_seed, generator
 
 mp.dps = 50
+
+
+def serial_battery(seed, samples):
+    """run_battery's ten checks, with its arguments and in its order, one by one."""
+    diff = ScaledDiff(generator(derive_seed(seed, 6)).standard_normal(8) / math.sqrt(8.0))
+    fmap = sample_map(
+        FeatureMapSpec(Variant.COS_SIN, Bandwidth(1.0), 64, derive_seed(seed, 7)), 8
+    )
+    return [
+        check_unbiasedness(0.1, samples, derive_seed(seed, 1)),
+        check_unbiasedness(1.0, samples, derive_seed(seed, 2)),
+        check_unbiasedness(3.0, samples, derive_seed(seed, 3)),
+        check_shift_unbiasedness(1.0, samples, derive_seed(seed, 4)),
+        check_chi_square(0.3, 0.2, 1000, derive_seed(seed, 5)),
+        check_limit_ratio(diff, fmap, [1.0, 1e-2, 1e-4, 1e-6]),
+        check_mgf_bound(0.5, 1.0, samples, derive_seed(seed, 8)),
+        check_mgf_bound(1.0, 0.4, samples, derive_seed(seed, 9)),
+        check_scale_sweep(0.2, 0.1, derive_seed(seed, 10)),
+        check_tail_bound(0.5, 0.25, 0.1, 1000, derive_seed(seed, 11)),
+    ]
+
+
+class TestMeanStdInPlace:
+    """The in-place helper against numpy's mean and std(ddof=1), bit for bit,
+    at sizes around the edges of numpy's pairwise-sum blocks."""
+
+    @pytest.mark.parametrize(
+        "n", [2, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 65537, 1_000_003]
+    )
+    @pytest.mark.parametrize("shape", ["normal", "cos", "exp"])
+    def test_bit_identical(self, n, shape):
+        x = generator(n).standard_normal(n)
+        if shape == "cos":
+            x = np.cos(0.7 * x)
+        elif shape == "exp":
+            x = np.exp(0.4 * (0.3 - x))
+        want = (x.mean(), x.std(ddof=1))
+        got = verify._mean_std_in_place(x.copy())
+        assert got[0] == want[0] and got[1] == want[1]
+
+    def test_constant_has_zero_spread(self):
+        assert verify._mean_std_in_place(np.full(5, 0.25)) == (0.25, 0.0)
+
+    @pytest.mark.parametrize("samples", [2, 129, 8193, 100_003])
+    @pytest.mark.parametrize("seed", [0, 105])
+    def test_checks_equal_out_of_place_reference(self, seed, samples):
+        """The in-place check bodies report exactly what the same formulas
+        give out of place, with numpy's own mean and std."""
+        vals = np.cos(generator(seed).standard_normal(samples) * 1.0)
+        rep = check_unbiasedness(1.0, samples, seed)
+        assert (rep.statistic, rep.std_err) == (
+            float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+        )
+
+        gen = generator(seed)
+        w = gen.standard_normal(samples)
+        g = 2.0 * math.pi * (1.0 - gen.random(samples))
+        vals = 2.0 * np.cos(w * 0.5 + g) * np.cos(g)
+        rep = check_shift_unbiasedness(0.5, samples, seed)
+        assert (rep.statistic, rep.std_err) == (
+            float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+        )
+
+        w = generator(seed).standard_normal(samples)
+        x = np.exp(0.4 * (kernel_from_scaled_norm(1.0) - np.cos(w * 1.0)))
+        mean = float(x.mean())
+        rep = check_mgf_bound(1.0, 0.4, samples, seed)
+        assert (rep.statistic, rep.std_err) == (
+            math.log(mean), float(x.std(ddof=1) / (mean * math.sqrt(samples)))
+        )
 
 
 class TestUnbiasedness:
@@ -244,6 +319,63 @@ class TestBattery:
     def test_names_unique(self):
         names = [r.check_name for r in run_battery(1, samples=2_000)]
         assert len(set(names)) == len(names)
+
+    @pytest.mark.parametrize("samples", [2_000, 50_000])
+    @pytest.mark.parametrize("seed", [0, 3, 105])
+    def test_equals_serial_reference(self, seed, samples):
+        """Seed 105 at 2000 samples includes a failing check."""
+        assert run_battery(seed, samples=samples) == serial_battery(seed, samples)
+
+    def test_concurrent_callers(self):
+        want = serial_battery(4, 20_000)
+        results = [None] * 4
+
+        def call(i):
+            results[i] = run_battery(4, samples=20_000)
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+        assert not any(th.is_alive() for th in threads)
+        assert results == [want] * 4
+
+    @pytest.mark.parametrize("samples", [1, 0, -5, 2.5, 1e6, True, "100"])
+    def test_samples_validated_before_any_thread(self, monkeypatch, samples):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="samples must be an integer >= 2"):
+            run_battery(0, samples=samples)
+
+    def test_check_error_propagates(self, monkeypatch):
+        err = ValueError("check failed inside the pool")
+
+        def broken(*args):
+            raise err
+
+        monkeypatch.setattr(verify, "check_mgf_bound", broken)
+        with pytest.raises(ValueError) as excinfo:
+            run_battery(0, samples=2_000)
+        assert excinfo.value is err
+
+    def test_memory_bound(self):
+        """Peak traced memory stays within w + 1 arrays of samples plus 1 MB:
+        at most w = min(pool size, 7) array-holding checks run at once, one
+        array each, and the CosShift check holds a second for its phases."""
+        samples = 1_000_000
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        w = min(cpus, 7)
+        run_battery(0, samples=2_000)  # lazy imports stay outside the traced peak
+        tracemalloc.start()
+        try:
+            run_battery(0, samples=samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (w + 1) * 8 * samples + 2**20
 
     def test_pass_rule_consistency(self):
         """Every report's flag is reproducible from its own fields."""
