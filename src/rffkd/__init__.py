@@ -1,131 +1,23 @@
 """Random Fourier feature embeddings for the Gaussian kernel, with
 relative-error guarantees on kernel distances, feature-count planners,
-approximate kernel PCA, and a statistical verification battery."""
+approximate kernel PCA, and a statistical verification battery.
 
-from .features import (
-    ApproxKernelPair,
-    Embedding,
-    FeatureMap,
-    FeatureMapSpec,
-    Variant,
-    approx_distance,
-    approx_kernel,
-    approx_kernel_pair,
-    embed,
-    projected_frequencies,
-    sample_map,
-    sq_distance_from_projections,
-)
-from .kernel import (
-    Bandwidth,
-    PointSet,
-    ScaledDiff,
-    distance_from_scaled_norm,
-    kernel_distance_exact,
-    kernel_exact,
-    kernel_from_scaled_norm,
-    scaled_diff,
-    sq_distance_from_scaled_norm,
-)
-from .kpca import (
-    GramMatrix,
-    PcaReport,
-    approx_residual,
-    center_gram,
-    exact_feature_embedding,
-    exact_tail_energy,
-    gram_exact,
-    kpca_experiment,
-    residual_from_centered,
-)
-from .matrixio import MatrixFormatError, read_matrix, write_matrix
-from .planner import (
-    DEFAULT_CONSTANT,
-    DimensionPlan,
-    DimensionRequest,
-    plan,
-    plan_bounded_diameter,
-    plan_finite_points,
-    plan_per_pair,
-)
-from .experiments import (
-    GRID_SIZE_LIMIT,
-    PairExperimentConfig,
-    PairExperimentReport,
-    PairSample,
-    gen_grid_stress,
-    gen_pairs,
-    pairs_experiment,
-    synth_dataset,
-)
-from .verify import (
-    VerifyReport,
-    check_chi_square,
-    check_limit_ratio,
-    check_mgf_bound,
-    check_scale_sweep,
-    check_shift_unbiasedness,
-    check_tail_bound,
-    check_unbiasedness,
-    run_battery,
-)
+The package exports the public names of the modules below, each declared
+once in its module's __all__; streams and cli stay submodule-only."""
+
+from . import features, kernel, kpca, matrixio, planner, experiments, verify
+from .features import *  # noqa: F403
+from .kernel import *  # noqa: F403
+from .kpca import *  # noqa: F403
+from .matrixio import *  # noqa: F403
+from .planner import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproxKernelPair",
-    "Bandwidth",
-    "DEFAULT_CONSTANT",
-    "DimensionPlan",
-    "DimensionRequest",
-    "Embedding",
-    "FeatureMap",
-    "FeatureMapSpec",
-    "GRID_SIZE_LIMIT",
-    "GramMatrix",
-    "MatrixFormatError",
-    "PairExperimentConfig",
-    "PairExperimentReport",
-    "PairSample",
-    "PcaReport",
-    "PointSet",
-    "ScaledDiff",
-    "Variant",
-    "VerifyReport",
-    "approx_distance",
-    "approx_kernel",
-    "approx_kernel_pair",
-    "approx_residual",
-    "center_gram",
-    "check_chi_square",
-    "check_limit_ratio",
-    "check_mgf_bound",
-    "check_scale_sweep",
-    "check_shift_unbiasedness",
-    "check_tail_bound",
-    "check_unbiasedness",
-    "distance_from_scaled_norm",
-    "embed",
-    "exact_feature_embedding",
-    "exact_tail_energy",
-    "gen_grid_stress",
-    "gen_pairs",
-    "gram_exact",
-    "kernel_distance_exact",
-    "kernel_exact",
-    "kernel_from_scaled_norm",
-    "kpca_experiment",
-    "pairs_experiment",
-    "plan",
-    "plan_bounded_diameter",
-    "plan_finite_points",
-    "plan_per_pair",
-    "projected_frequencies",
-    "read_matrix",
-    "residual_from_centered",
-    "sample_map",
-    "scaled_diff",
-    "sq_distance_from_projections",
-    "synth_dataset",
-    "write_matrix",
+    name
+    for module in (features, kernel, kpca, matrixio, planner, experiments, verify)
+    for name in module.__all__
 ]

@@ -17,7 +17,7 @@ from .experiments import PairExperimentConfig, gen_grid_stress, pairs_experiment
 from .features import FeatureMapSpec, Variant, embed_blocks, sample_map
 from .kernel import Bandwidth, PointSet
 from .kpca import kpca_experiment
-from .matrixio import FORMATS, MatrixFormatError, read_matrix, write_blocks
+from .matrixio import FORMATS, read_matrix, write_blocks
 from .planner import DimensionRequest, plan
 from .verify import run_battery
 
@@ -287,7 +287,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, MatrixFormatError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"rffkd: error: {exc}", file=sys.stderr)
         return 2
 

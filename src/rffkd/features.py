@@ -35,13 +35,9 @@ __all__ = [
     "FeatureMapSpec",
     "FeatureMap",
     "Embedding",
-    "ApproxKernelPair",
     "sample_map",
     "embed",
     "embed_blocks",
-    "approx_kernel",
-    "approx_distance",
-    "approx_kernel_pair",
     "projected_frequencies",
     "sq_distance_from_projections",
 ]
@@ -98,22 +94,6 @@ class Embedding:
 
     features: np.ndarray
     spec: FeatureMapSpec
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.features.shape[1]
-
-
-@dataclass(frozen=True)
-class ApproxKernelPair:
-    """Embedded inner product and embedded distance for one pair."""
-
-    k_hat: float
-    d_hat: float
 
 
 def sample_map(spec: FeatureMapSpec, dim: int) -> FeatureMap:
@@ -205,35 +185,6 @@ def _blocks(points: PointSet, fmap: FeatureMap):
         out = np.empty((stop - start, fmap.spec.output_dim))
         _embed_rows(points.data[start:stop], fmap, out)
         yield out
-
-
-def _check_rows(ex: np.ndarray, ey: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ex = np.asarray(ex, dtype=np.float64)
-    ey = np.asarray(ey, dtype=np.float64)
-    if ex.ndim != 1 or ey.ndim != 1 or ex.shape != ey.shape:
-        raise ValueError("embedded rows must be 1-d vectors of equal length")
-    return ex, ey
-
-
-def approx_kernel(ex, ey) -> float:
-    """Embedded inner product <phi(x), phi(y)> for two embedding rows."""
-    ex, ey = _check_rows(ex, ey)
-    return float(ex @ ey)
-
-
-def approx_distance(ex, ey) -> float:
-    """Embedded Euclidean distance ||phi(x) - phi(y)||."""
-    ex, ey = _check_rows(ex, ey)
-    return float(np.linalg.norm(ex - ey))
-
-
-def approx_kernel_pair(ex, ey) -> ApproxKernelPair:
-    """Both embedded quantities for one pair of rows.
-
-    For CosSin rows these satisfy d_hat^2 = 2 - 2 k_hat up to float error,
-    because embedded points have unit norm.
-    """
-    return ApproxKernelPair(k_hat=approx_kernel(ex, ey), d_hat=approx_distance(ex, ey))
 
 
 def projected_frequencies(fmap: FeatureMap, diff: ScaledDiff) -> np.ndarray:

@@ -21,7 +21,6 @@ __all__ = [
     "PointSet",
     "kernel_exact",
     "kernel_distance_exact",
-    "scaled_diff",
     "kernel_from_scaled_norm",
     "sq_distance_from_scaled_norm",
     "distance_from_scaled_norm",
@@ -101,12 +100,6 @@ def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("points must be finite")
     return x, y
-
-
-def scaled_diff(x, y, sigma: Bandwidth) -> ScaledDiff:
-    """Return the scaled difference (x - y) / sigma."""
-    x, y = _check_pair(x, y)
-    return ScaledDiff((x - y) / sigma.sigma)
 
 
 def kernel_from_scaled_norm(norm):

@@ -25,10 +25,6 @@ __all__ = [
     "read_matrix",
     "write_matrix",
     "write_blocks",
-    "read_csv",
-    "write_csv",
-    "read_raw",
-    "write_raw",
 ]
 
 MAGIC = b"RFFM"
@@ -80,11 +76,6 @@ def _opened(src, mode: str):
         yield src
 
 
-def write_csv(dest, data, header: bool = False) -> None:
-    """Write a matrix as CSV with 17 significant digits per value."""
-    write_matrix(dest, data, fmt="csv", header=header)
-
-
 def _write_csv_blocks(dest, blocks, shape, header: bool) -> None:
     n, d = shape
     with _opened(dest, "w") as out:
@@ -98,24 +89,24 @@ def _write_csv_blocks(dest, blocks, shape, header: bool) -> None:
                 out.write(fmt % tuple(row.tolist()))
 
 
-def read_csv(src, header: bool = False) -> np.ndarray:
-    """Read a CSV matrix; raises MatrixFormatError on ragged or empty input."""
+def _read_csv(src, header: bool = False) -> np.ndarray:
+    """Read a CSV matrix; raises MatrixFormatError on ragged or empty input.
+
+    '#' is not a comment marker: a value or line that holds one is unreadable.
+    """
     with _opened(src, "r") as handle:
         try:
             with warnings.catch_warnings():
                 # empty input warns before we can turn it into an error
                 warnings.simplefilter("ignore", UserWarning)
-                arr = np.loadtxt(handle, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+                arr = np.loadtxt(
+                    handle, delimiter=",", comments=None, skiprows=1 if header else 0, ndmin=2
+                )
         except ValueError as exc:
             raise MatrixFormatError(f"unreadable CSV matrix: {exc}") from exc
     if arr.size == 0:
         raise MatrixFormatError("CSV matrix has no rows")
     return arr
-
-
-def write_raw(dest, data) -> None:
-    """Write the raw-f64 format: magic, u32 n, u32 d, row-major f64 payload."""
-    write_matrix(dest, data, fmt="raw-f64")
 
 
 def _write_raw_blocks(dest, blocks, shape) -> None:
@@ -129,7 +120,7 @@ def _write_raw_blocks(dest, blocks, shape) -> None:
             out.write(memoryview(np.ascontiguousarray(block, dtype="<f8")))
 
 
-def read_raw(src) -> np.ndarray:
+def _read_raw(src) -> np.ndarray:
     """Read the raw-f64 format, validating magic, header, and payload size.
 
     The result is a read-only view of the bytes read, so the payload is held
@@ -187,7 +178,7 @@ def write_blocks(dest, blocks, shape, fmt: str = "csv", header: bool = False) ->
 def read_matrix(src, fmt: str = "csv", header: bool = False) -> np.ndarray:
     """Read a matrix in the named format ("csv" or "raw-f64")."""
     if fmt == "csv":
-        return read_csv(src, header=header)
+        return _read_csv(src, header=header)
     if fmt == "raw-f64":
-        return read_raw(src)
+        return _read_raw(src)
     raise ValueError(f"unknown matrix format {fmt!r}; choose from {FORMATS}")

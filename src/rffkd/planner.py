@@ -46,7 +46,8 @@ class DimensionRequest:
 
     regime "per-pair" uses (epsilon, delta); "finite-points" uses
     (epsilon, n) with delta fixed at 1/n; "bounded-diameter" uses
-    (epsilon, delta, dim, diameter).
+    (epsilon, delta, dim, diameter).  Fields a regime does not use must be
+    left None.
     """
 
     regime: str
@@ -163,8 +164,20 @@ def plan_bounded_diameter(
     return _plan(raw, "bounded-diameter", note)
 
 
+# Request fields each regime ignores; setting one is an error, so no report
+# shows an input that its plan did not use.
+_UNUSED_FIELDS = {
+    "per-pair": ("n", "dim", "diameter"),
+    "finite-points": ("delta", "dim", "diameter"),
+    "bounded-diameter": ("n",),
+}
+
+
 def plan(request: DimensionRequest) -> DimensionPlan:
     """Dispatch a DimensionRequest to the matching planner."""
+    unused = [f for f in _UNUSED_FIELDS.get(request.regime, ()) if getattr(request, f) is not None]
+    if unused:
+        raise ValueError(f"{request.regime} regime does not use {', '.join(unused)}")
     if request.regime == "per-pair":
         if request.delta is None:
             raise ValueError("per-pair regime requires delta")

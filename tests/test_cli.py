@@ -76,6 +76,16 @@ class TestDims:
         assert rc == 2
         assert "rffkd: error:" in err and "delta" in err
 
+    def test_unused_field_is_error(self, capsys):
+        """finite-points plans at delta = 1/n, so a --delta it would ignore
+        is refused rather than printed next to the plan."""
+        rc, out, err = run_cli(
+            capsys, "dims", "--regime", "finite-points", "--epsilon", "0.2", "--n", "2000",
+            "--delta", "0.1",
+        )
+        assert rc == 2 and out == ""
+        assert "rffkd: error: finite-points regime does not use delta" in err
+
     def test_output_file(self, tmp_path, capsys):
         dest = tmp_path / "plan.csv"
         rc, out, _ = run_cli(
@@ -147,6 +157,13 @@ class TestEmbed:
         path.write_text("1.0,2.0\n3.0\n")
         rc, _, err = run_cli(capsys, "embed", "--input", str(path))
         assert rc == 2 and "unreadable CSV" in err
+
+    @pytest.mark.parametrize("text", ["1,2#3\n", "#x\n1,2\n"])
+    def test_hash_in_input_is_error(self, tmp_path, capsys, text):
+        path = tmp_path / "hash.csv"
+        path.write_text(text)
+        rc, out, err = run_cli(capsys, "embed", "--input", str(path))
+        assert rc == 2 and out == "" and "unreadable CSV" in err
 
     def test_missing_file_is_error(self, tmp_path, capsys):
         rc, _, err = run_cli(capsys, "embed", "--input", str(tmp_path / "nope.csv"))

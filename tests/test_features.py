@@ -17,15 +17,12 @@ from rffkd import (
     FeatureMap,
     FeatureMapSpec,
     PointSet,
+    ScaledDiff,
     Variant,
-    approx_distance,
-    approx_kernel,
-    approx_kernel_pair,
     embed,
     kernel_exact,
     projected_frequencies,
     sample_map,
-    scaled_diff,
     sq_distance_from_projections,
     sq_distance_from_scaled_norm,
 )
@@ -225,7 +222,7 @@ class TestEmbedCosSin:
         for _ in range(20):
             x, y = rng.standard_normal((2, 4)) * 3
             emb = embed(PointSet(np.vstack([x, y])), fmap)
-            got = approx_kernel(emb.features[0], emb.features[1])
+            got = float(emb.features[0] @ emb.features[1])
             want = float(np.mean(np.cos(fmap.frequencies @ (x - y))))
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -236,8 +233,9 @@ class TestEmbedCosSin:
         pts = PointSet(rng.standard_normal((10, 6)))
         emb = embed(pts, fmap)
         for i in range(9):
-            pair = approx_kernel_pair(emb.features[i], emb.features[i + 1])
-            assert pair.d_hat**2 == pytest.approx(2 - 2 * pair.k_hat, abs=1e-12)
+            ex, ey = emb.features[i], emb.features[i + 1]
+            d_hat = float(np.linalg.norm(ex - ey))
+            assert d_hat**2 == pytest.approx(2 - 2 * float(ex @ ey), abs=1e-12)
 
     def test_shift_invariance(self):
         """Embedded distances depend only on x - y, so translating both
@@ -246,8 +244,10 @@ class TestEmbedCosSin:
         fmap = sample_map(cossin_spec(size=50, seed=4), 5)
         x, y = rng.standard_normal((2, 5))
         c = rng.standard_normal(5) * 10
-        d0 = approx_distance(*embed(PointSet(np.vstack([x, y])), fmap).features)
-        d1 = approx_distance(*embed(PointSet(np.vstack([x + c, y + c])), fmap).features)
+        e0 = embed(PointSet(np.vstack([x, y])), fmap).features
+        e1 = embed(PointSet(np.vstack([x + c, y + c])), fmap).features
+        d0 = float(np.linalg.norm(e0[0] - e0[1]))
+        d1 = float(np.linalg.norm(e1[0] - e1[1]))
         assert d1 == pytest.approx(d0, abs=1e-10)
 
     def test_unbiasedness_over_maps(self):
@@ -263,7 +263,7 @@ class TestEmbedCosSin:
         for i in range(n_maps):
             fmap = sample_map(FeatureMapSpec(Variant.COS_SIN, sigma, 1, derive_seed(0, 77, i)), 3)
             emb = embed(pts, fmap)
-            vals[i] = approx_kernel(emb.features[0], emb.features[1])
+            vals[i] = float(emb.features[0] @ emb.features[1])
         se = float(np.std(vals, ddof=1)) / math.sqrt(n_maps)
         assert abs(vals.mean() - k) <= 3 * se
 
@@ -273,7 +273,7 @@ class TestEmbedCosSin:
         y = np.array([2.0, 0.0, 0.0])
         sigma = Bandwidth(2.0)
         emb = embed(PointSet(np.vstack([x, y])), sample_map(FeatureMapSpec(Variant.COS_SIN, sigma, 10**5, 0), 3))
-        k_hat = approx_kernel(emb.features[0], emb.features[1])
+        k_hat = float(emb.features[0] @ emb.features[1])
         assert abs(k_hat - float(mp.exp(mp.mpf(-1) / 2))) <= 0.01
 
     def test_dimension_mismatch_rejected(self):
@@ -318,7 +318,7 @@ class TestEmbedCosShift:
         for i in range(vals.size):
             fmap = sample_map(FeatureMapSpec(Variant.COS_SHIFT, sigma, 1, derive_seed(0, 99, i)), 2)
             emb = embed(pts, fmap)
-            vals[i] = approx_kernel(emb.features[0], emb.features[1])
+            vals[i] = float(emb.features[0] @ emb.features[1])
         se = float(np.std(vals, ddof=1)) / math.sqrt(vals.size)
         assert abs(vals.mean() - k) <= 3 * se
 
@@ -329,7 +329,7 @@ class TestEmbedCosShift:
         rng = np.random.default_rng(6)
         x, y = rng.standard_normal((2, 3))
         emb = embed(PointSet(np.vstack([x, y])), fmap)
-        got = approx_kernel(emb.features[0], emb.features[1])
+        got = float(emb.features[0] @ emb.features[1])
         a = fmap.frequencies @ x
         b = fmap.frequencies @ y
         want = float(np.mean(np.cos(a - b) + np.cos(a + b + 2 * fmap.shifts)))
@@ -422,7 +422,7 @@ class TestProjections:
         sigma = Bandwidth(1.7)
         fmap = sample_map(FeatureMapSpec(Variant.COS_SIN, sigma, 40, 9), 6)
         x, y = rng.standard_normal((2, 6))
-        diff = scaled_diff(x, y, sigma)
+        diff = ScaledDiff((x - y) / sigma.sigma)
         proj = projected_frequencies(fmap, diff)
         direct = fmap.frequencies @ (x - y)
         np.testing.assert_allclose(proj * diff.norm, direct, rtol=1e-12)
@@ -430,7 +430,7 @@ class TestProjections:
     def test_projections_are_standard_normal(self):
         """sigma <omega, u> for unit u is N(0, 1): moments within 3 se."""
         fmap = sample_map(FeatureMapSpec(Variant.COS_SIN, Bandwidth(3.0), 20000, 10), 8)
-        diff = scaled_diff(np.ones(8), np.zeros(8), Bandwidth(3.0))
+        diff = ScaledDiff(np.ones(8) / 3.0)
         w = projected_frequencies(fmap, diff)
         n = w.size
         assert abs(w.mean()) <= 3 / math.sqrt(n)
@@ -444,8 +444,8 @@ class TestProjections:
         for _ in range(10):
             x, y = rng.standard_normal((2, 5))
             emb = embed(PointSet(np.vstack([x, y])), fmap)
-            d2 = approx_distance(emb.features[0], emb.features[1]) ** 2
-            diff = scaled_diff(x, y, sigma)
+            d2 = float(np.linalg.norm(emb.features[0] - emb.features[1])) ** 2
+            diff = ScaledDiff((x - y) / sigma.sigma)
             via = sq_distance_from_projections(projected_frequencies(fmap, diff), diff.norm)
             assert via == pytest.approx(d2, rel=1e-10, abs=1e-13)
 
@@ -485,7 +485,7 @@ class TestProjections:
     def test_zero_difference_rejected(self):
         fmap = sample_map(cossin_spec(), 3)
         with pytest.raises(ValueError, match="zero difference"):
-            projected_frequencies(fmap, scaled_diff(np.ones(3), np.ones(3), Bandwidth(1.0)))
+            projected_frequencies(fmap, ScaledDiff(np.zeros(3)))
 
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -21,7 +21,6 @@ from rffkd import (
     kernel_distance_exact,
     kernel_exact,
     kernel_from_scaled_norm,
-    scaled_diff,
     sq_distance_from_scaled_norm,
 )
 
@@ -187,7 +186,7 @@ class TestTaylorSandwich:
 
 class TestScaledDiff:
     def test_three_four_five(self):
-        d = scaled_diff(np.array([3.0, 4.0]), np.array([0.0, 0.0]), Bandwidth(5.0))
+        d = ScaledDiff(np.array([3.0, 4.0]) / 5.0)
         assert d.norm == pytest.approx(1.0, rel=1e-15)
         np.testing.assert_allclose(d.delta, [0.6, 0.8], rtol=1e-15)
 
@@ -195,11 +194,11 @@ class TestScaledDiff:
         rng = np.random.default_rng(9)
         for _ in range(20):
             x, y = rng.standard_normal((2, 7))
-            d = scaled_diff(x, y, Bandwidth(0.7))
+            d = ScaledDiff((x - y) / 0.7)
             assert d.norm == float(np.linalg.norm(d.delta))
 
     def test_delta_is_readonly(self):
-        d = scaled_diff(np.array([1.0]), np.array([0.0]), Bandwidth(1.0))
+        d = ScaledDiff(np.array([1.0]))
         with pytest.raises(ValueError):
             d.delta[0] = 5.0
 

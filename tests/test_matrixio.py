@@ -13,15 +13,7 @@ import numpy as np
 import pytest
 
 from rffkd import MatrixFormatError, read_matrix, write_matrix
-from rffkd.matrixio import (
-    FORMATS,
-    MAGIC,
-    read_csv,
-    read_raw,
-    write_blocks,
-    write_csv,
-    write_raw,
-)
+from rffkd.matrixio import FORMATS, MAGIC, write_blocks
 
 
 def awkward_matrix():
@@ -42,59 +34,68 @@ class TestCsv:
     def test_round_trip_is_exact(self, tmp_path):
         a = awkward_matrix()
         path = tmp_path / "m.csv"
-        write_csv(path, a)
-        b = read_csv(path)
+        write_matrix(path, a)
+        b = read_matrix(path)
         np.testing.assert_array_equal(a, b)
 
     def test_round_trip_with_header(self, tmp_path):
         a = awkward_matrix()
         path = tmp_path / "m.csv"
-        write_csv(path, a, header=True)
+        write_matrix(path, a, header=True)
         first = path.read_text().splitlines()[0]
         assert first == "c0,c1,c2"
-        np.testing.assert_array_equal(read_csv(path, header=True), a)
+        np.testing.assert_array_equal(read_matrix(path, header=True), a)
 
     def test_file_object_round_trip(self):
         a = np.array([[1.5, -2.25], [0.1, 3.0]])
         buf = io.StringIO()
-        write_csv(buf, a)
+        write_matrix(buf, a)
         buf.seek(0)
-        np.testing.assert_array_equal(read_csv(buf), a)
+        np.testing.assert_array_equal(read_matrix(buf), a)
 
     def test_single_cell(self, tmp_path):
         path = tmp_path / "one.csv"
-        write_csv(path, [[42.0]])
-        got = read_csv(path)
+        write_matrix(path, [[42.0]])
+        got = read_matrix(path)
         assert got.shape == (1, 1) and got[0, 0] == 42.0
 
     def test_single_row_keeps_two_dims(self, tmp_path):
         path = tmp_path / "row.csv"
-        write_csv(path, [[1.0, 2.0, 3.0]])
-        assert read_csv(path).shape == (1, 3)
+        write_matrix(path, [[1.0, 2.0, 3.0]])
+        assert read_matrix(path).shape == (1, 3)
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0\n3.0\n")
         with pytest.raises(MatrixFormatError, match="unreadable CSV"):
-            read_csv(path)
+            read_matrix(path)
 
     def test_non_numeric_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,banana\n")
         with pytest.raises(MatrixFormatError):
-            read_csv(path)
+            read_matrix(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(MatrixFormatError, match="no rows"):
-            read_csv(path)
+            read_matrix(path)
+
+    @pytest.mark.parametrize("text", ["1,2#3\n", "#x\n1,2\n"])
+    def test_hash_is_not_a_comment(self, tmp_path, text):
+        """'#' is not a comment marker, so input holding one is unreadable
+        rather than read with the rest of its line dropped."""
+        path = tmp_path / "hash.csv"
+        path.write_text(text)
+        with pytest.raises(MatrixFormatError, match="unreadable CSV"):
+            read_matrix(path)
 
     def test_empty_matrix_rejected_on_write(self, tmp_path):
         with pytest.raises(ValueError, match="non-empty"):
-            write_csv(tmp_path / "x.csv", np.zeros((0, 3)))
+            write_matrix(tmp_path / "x.csv", np.zeros((0, 3)))
         with pytest.raises(ValueError, match="non-empty"):
-            write_csv(tmp_path / "x.csv", np.zeros(4))
+            write_matrix(tmp_path / "x.csv", np.zeros(4))
 
 
 class TestRaw:
@@ -103,15 +104,15 @@ class TestRaw:
         a[5, 2] = np.nan
         a[6, 0] = np.inf
         path = tmp_path / "m.bin"
-        write_raw(path, a)
-        b = read_raw(path)
+        write_matrix(path, a, fmt="raw-f64")
+        b = read_matrix(path, fmt="raw-f64")
         assert b.shape == a.shape
         assert a.tobytes() == b.tobytes()
 
     def test_file_layout(self, tmp_path):
         a = np.array([[1.0, 2.0]])
         path = tmp_path / "m.bin"
-        write_raw(path, a)
+        write_matrix(path, a, fmt="raw-f64")
         buf = path.read_bytes()
         assert buf[:4] == MAGIC
         n, d = struct.unpack_from("<II", buf, 4)
@@ -122,57 +123,57 @@ class TestRaw:
     def test_file_object_round_trip(self):
         a = np.array([[7.0], [8.0]])
         buf = io.BytesIO()
-        write_raw(buf, a)
+        write_matrix(buf, a, fmt="raw-f64")
         buf.seek(0)
-        np.testing.assert_array_equal(read_raw(buf), a)
+        np.testing.assert_array_equal(read_matrix(buf, fmt="raw-f64"), a)
 
     def test_bad_magic_offset_zero(self, tmp_path):
         path = tmp_path / "m.bin"
-        write_raw(path, [[1.0]])
+        write_matrix(path, [[1.0]], fmt="raw-f64")
         data = bytearray(path.read_bytes())
         data[:4] = b"XXXX"
         path.write_bytes(bytes(data))
         with pytest.raises(MatrixFormatError, match="bad magic") as info:
-            read_raw(path)
+            read_matrix(path, fmt="raw-f64")
         assert info.value.offset == 0
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "m.bin"
         path.write_bytes(MAGIC + b"\x01")
         with pytest.raises(MatrixFormatError, match="truncated header") as info:
-            read_raw(path)
+            read_matrix(path, fmt="raw-f64")
         assert info.value.offset == 5
 
     def test_empty_shape_offset_four(self, tmp_path):
         path = tmp_path / "m.bin"
         path.write_bytes(struct.pack("<4sII", MAGIC, 0, 3))
         with pytest.raises(MatrixFormatError, match="empty matrix") as info:
-            read_raw(path)
+            read_matrix(path, fmt="raw-f64")
         assert info.value.offset == 4
 
     def test_short_payload_offset_is_file_end(self, tmp_path):
         path = tmp_path / "m.bin"
-        write_raw(path, np.ones((2, 2)))
+        write_matrix(path, np.ones((2, 2)), fmt="raw-f64")
         buf = path.read_bytes()
         path.write_bytes(buf[:-8])
         with pytest.raises(MatrixFormatError, match="ends early") as info:
-            read_raw(path)
+            read_matrix(path, fmt="raw-f64")
         assert info.value.offset == len(buf) - 8
 
     def test_trailing_bytes_offset_is_expected_size(self, tmp_path):
         path = tmp_path / "m.bin"
-        write_raw(path, np.ones((2, 2)))
+        write_matrix(path, np.ones((2, 2)), fmt="raw-f64")
         expected = 12 + 32
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(MatrixFormatError, match="trailing bytes") as info:
-            read_raw(path)
+            read_matrix(path, fmt="raw-f64")
         assert info.value.offset == expected
 
     def test_error_message_carries_offset(self, tmp_path):
         path = tmp_path / "m.bin"
         path.write_bytes(b"XX")
         with pytest.raises(MatrixFormatError, match=r"byte offset 2"):
-            read_raw(path)
+            read_matrix(path, fmt="raw-f64")
 
 
 class TestReadRawMemory:
@@ -180,10 +181,10 @@ class TestReadRawMemory:
         """The read keeps the bytes it read; a converted copy would double the peak."""
         a = np.random.default_rng(1).standard_normal((512, 1024))
         path = tmp_path / "m.bin"
-        write_raw(path, a)
+        write_matrix(path, a, fmt="raw-f64")
         tracemalloc.start()
         try:
-            b = read_raw(path)
+            b = read_matrix(path, fmt="raw-f64")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -208,6 +208,19 @@ class TestBoundedDiameter:
             plan_bounded_diameter(0.25, 0.1, dim=2, diameter=m)
 
 
+# Per regime: a complete request's fields, and a value for each field it ignores.
+USED = {
+    "per-pair": {"delta": 0.2},
+    "finite-points": {"n": 2000},
+    "bounded-diameter": {"delta": 0.1, "dim": 2, "diameter": 100.0},
+}
+UNUSED = {
+    "per-pair": {"n": 2000, "dim": 2, "diameter": 100.0},
+    "finite-points": {"delta": 0.1, "dim": 2, "diameter": 100.0},
+    "bounded-diameter": {"n": 2000},
+}
+
+
 class TestDispatch:
     def test_per_pair_route(self):
         req = DimensionRequest(regime="per-pair", epsilon=0.3, delta=0.2)
@@ -234,6 +247,29 @@ class TestDispatch:
             plan(DimensionRequest(regime="finite-points", epsilon=0.3))
         with pytest.raises(ValueError, match="requires delta, dim and diameter"):
             plan(DimensionRequest(regime="bounded-diameter", epsilon=0.3, delta=0.1))
+
+    @pytest.mark.parametrize(
+        "regime, field", [(r, f) for r, fields in UNUSED.items() for f in fields]
+    )
+    def test_unused_field_rejected(self, regime, field):
+        req = DimensionRequest(
+            regime=regime, epsilon=0.25, **USED[regime], **{field: UNUSED[regime][field]}
+        )
+        with pytest.raises(ValueError, match=f"^{regime} regime does not use {field}$"):
+            plan(req)
+
+    @pytest.mark.parametrize("regime", list(UNUSED))
+    def test_every_unused_field_is_named(self, regime):
+        req = DimensionRequest(regime=regime, epsilon=0.25, **USED[regime], **UNUSED[regime])
+        with pytest.raises(ValueError) as info:
+            plan(req)
+        assert str(info.value) == f"{regime} regime does not use {', '.join(UNUSED[regime])}"
+
+    @pytest.mark.parametrize("field", ["delta", "dim", "diameter"])
+    def test_zero_counts_as_set(self, field):
+        """A field set to 0 is still set: the check is 'is not None', not truthiness."""
+        with pytest.raises(ValueError, match=f"does not use {field}"):
+            plan(DimensionRequest(regime="finite-points", epsilon=0.25, n=10, **{field: 0}))
 
     def test_unknown_regime_rejected(self):
         with pytest.raises(ValueError, match="unknown regime"):
