@@ -10,6 +10,7 @@ names a file.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 
@@ -145,11 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate synthetic data or a kernel stress grid")
     p.add_argument("--kind", choices=["synth", "grid"], required=True)
-    p.add_argument("--n", type=int, default=2000, help="points (synth)")
+    p.add_argument("--n", type=int, default=None, help="points (synth, default 2000)")
     p.add_argument("--dim", type=int, default=None, help="dimension (synth default 256, grid 2)")
-    p.add_argument("--clusters", type=int, default=10, help="mixture components (synth)")
-    p.add_argument("--diameter", type=float, default=None, help="box half-width (grid)")
-    p.add_argument("--epsilon", type=float, default=0.25, help="kernel level (grid)")
+    p.add_argument("--clusters", type=int, default=None, help="mixture components (synth, default 10)")
+    p.add_argument("--diameter", type=float, default=None, help="box half-width (grid, required)")
+    p.add_argument("--epsilon", type=float, default=None, help="kernel level (grid, default 0.25)")
     _add_output_flags(p, matrix=True)
     p.set_defaults(func=_cmd_gen)
 
@@ -269,15 +270,25 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+# The gen flags that only one kind reads; the other kind refuses them.
+_GEN_KIND_OF_FLAG = {"n": "synth", "clusters": "synth", "diameter": "grid", "epsilon": "grid"}
+
+
 def _cmd_gen(args) -> int:
+    for flag, kind in _GEN_KIND_OF_FLAG.items():
+        if kind != args.kind and getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} applies only to --kind {kind}")
     if args.kind == "synth":
+        n = 2000 if args.n is None else args.n
         dim = 256 if args.dim is None else args.dim
-        points = synth_dataset(args.n, dim, args.clusters, args.seed)
+        clusters = 10 if args.clusters is None else args.clusters
+        points = synth_dataset(n, dim, clusters, args.seed)
     else:
         if args.diameter is None:
             raise ValueError("--diameter is required for --kind grid")
         dim = 2 if args.dim is None else args.dim
-        points = gen_grid_stress(dim, args.diameter, Bandwidth(args.sigma), args.epsilon)
+        epsilon = 0.25 if args.epsilon is None else args.epsilon
+        points = gen_grid_stress(dim, args.diameter, Bandwidth(args.sigma), epsilon)
     _write_matrix_output(args, [points.data], points.data.shape)
     return 0
 
@@ -286,10 +297,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so the flush at exit
+        # does not fail again, and end as a shell reports death by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"rffkd: error: {exc}", file=sys.stderr)
         return 2
+    return status
 
 
 if __name__ == "__main__":

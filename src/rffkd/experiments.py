@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import integer, real
 from .features import FeatureMapSpec, Variant, embed, sample_map
 from .kernel import Bandwidth, PointSet, distance_from_scaled_norm
 from .streams import check_seed, derive_seed, generator
@@ -49,17 +50,15 @@ class PairExperimentConfig:
     variant: Variant = Variant.COS_SIN
 
     def __post_init__(self) -> None:
-        if self.n_pairs < 1:
-            raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs}")
-        if not (self.ball_radius > 0 and math.isfinite(self.ball_radius)):
-            raise ValueError(f"ball_radius must be positive and finite, got {self.ball_radius}")
+        integer("n_pairs", self.n_pairs)
+        real("ball_radius", self.ball_radius, 0.0)
         if not (0 < self.dist_min <= self.dist_max < math.inf):
             raise ValueError(
                 f"need 0 < dist_min <= dist_max < inf, got [{self.dist_min}, {self.dist_max}]"
             )
-        if len(self.t_list) < 1 or any(int(t) != t or t < 1 for t in self.t_list):
+        if len(self.t_list) < 1:
             raise ValueError(f"t_list must hold integers >= 1, got {self.t_list}")
-        object.__setattr__(self, "t_list", tuple(int(t) for t in self.t_list))
+        object.__setattr__(self, "t_list", tuple(integer("t_list entry", t) for t in self.t_list))
         object.__setattr__(self, "seed", check_seed(self.seed))
         object.__setattr__(self, "variant", Variant(self.variant))
 
@@ -102,9 +101,7 @@ def gen_pairs(cfg: PairExperimentConfig, dim: int, seed: int | None = None) -> P
     sphere.  The recorded radii are the achieved float distances, so
     ||x - y|| reproduces them exactly.
     """
-    if int(dim) != dim or dim < 1:
-        raise ValueError(f"dim must be an integer >= 1, got {dim}")
-    dim = int(dim)
+    dim = integer("dim", dim)
     gen = generator(cfg.seed if seed is None else seed)
     n = cfg.n_pairs
     xs = _unit_directions(gen, n, dim) * (
@@ -163,13 +160,9 @@ def gen_grid_stress(dim: int, diameter: float, sigma: Bandwidth, epsilon: float)
     |k| <= floor(diameter / step).  Refuses sets larger than the desk-scale
     cap dim * count <= GRID_SIZE_LIMIT.
     """
-    if int(dim) != dim or dim < 1:
-        raise ValueError(f"dim must be an integer >= 1, got {dim}")
-    dim = int(dim)
-    if not (diameter > 0 and math.isfinite(diameter)):
-        raise ValueError(f"diameter must be positive and finite, got {diameter}")
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    dim = integer("dim", dim)
+    real("diameter", diameter, 0.0)
+    real("epsilon", epsilon, 0.0, 1.0)
     step = sigma.sigma * math.sqrt(2.0 * math.log(1.0 / epsilon))
     # the relative nudge keeps exact multiples of the step inside the box
     kmax = int(math.floor((diameter / step) * (1.0 + 1e-12)))
@@ -194,15 +187,11 @@ def synth_dataset(
     N(0, center_spread^2 I); the n points then cycle through the clusters
     round-robin with unit isotropic noise, so cluster sizes are balanced.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if int(dim) != dim or dim < 1:
-        raise ValueError(f"dim must be an integer >= 1, got {dim}")
-    if not (1 <= clusters <= n):
+    n, dim, clusters = integer("n", n), integer("dim", dim), integer("clusters", clusters)
+    if clusters > n:
         raise ValueError(f"clusters must lie in [1, n], got {clusters} with n={n}")
-    if not (center_spread >= 0 and math.isfinite(center_spread)):
-        raise ValueError(f"center_spread must be nonnegative and finite, got {center_spread}")
+    real("center_spread", center_spread, 0.0, lo_open=False)
     gen = generator(seed)
-    centers = center_spread * gen.standard_normal((clusters, int(dim)))
+    centers = center_spread * gen.standard_normal((clusters, dim))
     labels = np.arange(n) % clusters
-    return PointSet(centers[labels] + gen.standard_normal((n, int(dim))))
+    return PointSet(centers[labels] + gen.standard_normal((n, dim)))

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import Bandwidth, PointSet, ScaledDiff
+from ._checks import integer
+from .kernel import Bandwidth, PointSet, ScaledDiff, _nonnegative, _scalar_or_array
 from .streams import check_seed, row_generators
 
 __all__ = [
@@ -65,9 +66,7 @@ class FeatureMapSpec:
         object.__setattr__(self, "variant", Variant(self.variant))
         if not isinstance(self.sigma, Bandwidth):
             raise ValueError("sigma must be a Bandwidth")
-        if int(self.size) != self.size or self.size < 1:
-            raise ValueError(f"size must be an integer >= 1, got {self.size}")
-        object.__setattr__(self, "size", int(self.size))
+        object.__setattr__(self, "size", integer("size", self.size))
         object.__setattr__(self, "seed", check_seed(self.seed))
 
     @property
@@ -103,9 +102,7 @@ def sample_map(spec: FeatureMapSpec, dim: int) -> FeatureMap:
     CosShift variant additionally draws each row's phase from the same row
     stream, uniform on (0, 2pi].
     """
-    if int(dim) != dim or dim < 1:
-        raise ValueError(f"dim must be an integer >= 1, got {dim}")
-    dim = int(dim)
+    dim = integer("dim", dim)
     scale = 1.0 / spec.sigma.sigma
     freq = np.empty((spec.size, dim))
     shifts = np.empty(spec.size) if spec.variant is Variant.COS_SHIFT else None
@@ -215,10 +212,7 @@ def sq_distance_from_projections(proj, scaled_norm: float):
     proj = np.asarray(proj, dtype=np.float64)
     if proj.ndim < 1 or proj.shape[-1] < 1:
         raise ValueError("projections must have at least one entry")
-    r = np.asarray(scaled_norm, dtype=np.float64)
-    if np.any(r < 0):
-        raise ValueError("scaled norm must be nonnegative")
+    r = _nonnegative(scaled_norm)
     half = 0.5 * proj * r[..., np.newaxis] if r.ndim else 0.5 * proj * r
     s = np.sin(half)
-    out = 4.0 * np.mean(s * s, axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(4.0 * np.mean(s * s, axis=-1))

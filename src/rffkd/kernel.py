@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import real
+
 __all__ = [
     "Bandwidth",
     "ScaledDiff",
@@ -34,8 +36,7 @@ class Bandwidth:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.sigma) or self.sigma <= 0.0:
-            raise ValueError(f"bandwidth must be positive and finite, got {self.sigma}")
+        real("sigma", self.sigma, 0.0)
 
 
 @dataclass(frozen=True)
@@ -102,13 +103,21 @@ def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def kernel_from_scaled_norm(norm):
-    """K as a function of r = ||x - y|| / sigma: exp(-r^2 / 2).  Vectorized."""
+def _nonnegative(norm) -> np.ndarray:
     r = np.asarray(norm, dtype=np.float64)
     if np.any(r < 0):
         raise ValueError("scaled norm must be nonnegative")
-    out = np.exp(-0.5 * r * r)
-    return float(out) if out.ndim == 0 else out
+    return r
+
+
+def _scalar_or_array(out):
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def kernel_from_scaled_norm(norm):
+    """K as a function of r = ||x - y|| / sigma: exp(-r^2 / 2).  Vectorized."""
+    r = _nonnegative(norm)
+    return _scalar_or_array(np.exp(-0.5 * r * r))
 
 
 def sq_distance_from_scaled_norm(norm):
@@ -118,17 +127,13 @@ def sq_distance_from_scaled_norm(norm):
     relative precision (the naive form loses all digits once K is close
     to 1).  Vectorized.
     """
-    r = np.asarray(norm, dtype=np.float64)
-    if np.any(r < 0):
-        raise ValueError("scaled norm must be nonnegative")
-    out = -2.0 * np.expm1(-0.5 * r * r)
-    return float(out) if out.ndim == 0 else out
+    r = _nonnegative(norm)
+    return _scalar_or_array(-2.0 * np.expm1(-0.5 * r * r))
 
 
 def distance_from_scaled_norm(norm):
     """Kernel distance sqrt(2 - 2 K) as a function of r = ||x - y|| / sigma."""
-    out = np.sqrt(sq_distance_from_scaled_norm(norm))
-    return float(out) if np.ndim(out) == 0 else out
+    return _scalar_or_array(np.sqrt(sq_distance_from_scaled_norm(norm)))
 
 
 def kernel_exact(x, y, sigma: Bandwidth) -> float:

@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._checks import integer
 from .features import FeatureMap, FeatureMapSpec, Variant, embed, sample_map
 from .kernel import Bandwidth, PointSet
 from .streams import check_seed, derive_seed
@@ -129,10 +130,11 @@ def exact_tail_energy(gram: GramMatrix, k: int) -> float:
     if not gram.centered:
         raise ValueError("tail energy is defined for a centered gram matrix")
     n = gram.n
-    if int(k) != k or not (0 <= k < n):
+    k = integer("k", k, minimum=0)
+    if k >= n:
         raise ValueError(f"k must be an integer in [0, n), got k={k} with n={n}")
     vals = _descending_eigvals(gram.g)
-    return float(np.sum(vals[int(k):]))
+    return float(np.sum(vals[k:]))
 
 
 def exact_feature_embedding(gram: GramMatrix) -> np.ndarray:
@@ -167,11 +169,12 @@ def residual_from_centered(q: np.ndarray, k: int) -> float:
     if q.ndim != 2:
         raise ValueError("expected a 2-d matrix of embedded rows")
     n, m = q.shape
-    if int(k) != k or not (0 <= k < min(n, m)):
+    k = integer("k", k, minimum=0)
+    if k >= min(n, m):
         raise ValueError(f"k must be an integer in [0, min(n, m)), got k={k} with shape {q.shape}")
     gram = q @ q.T if n <= m else q.T @ q
     vals = np.linalg.eigvalsh(gram)  # ascending
-    return float(np.sum(np.clip(vals[: min(n, m) - int(k)], 0.0, None)))
+    return float(np.sum(np.clip(vals[: min(n, m) - k], 0.0, None)))
 
 
 def approx_residual(points: PointSet, fmap: FeatureMap, k: int) -> float:
@@ -201,8 +204,9 @@ def kpca_experiment(
     from (seed, t, trial)), computes the embedded residual for each, and
     reports it against the exact tail energy of the same point set.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = integer("trials", trials)
+    k = integer("k", k, minimum=0)
+    t_list = [integer("t_list entry", t) for t in t_list]
     seed = check_seed(seed)
     centered = center_gram(gram_exact(points, sigma))
     r_exact = exact_tail_energy(centered, k)
@@ -211,7 +215,7 @@ def kpca_experiment(
         residuals = np.empty(trials)
         for trial in range(trials):
             spec = FeatureMapSpec(
-                variant=variant, sigma=sigma, size=int(t), seed=derive_seed(seed, int(t), trial)
+                variant=variant, sigma=sigma, size=t, seed=derive_seed(seed, t, trial)
             )
             fmap = sample_map(spec, points.dim)
             residuals[trial] = approx_residual(points, fmap, k)
@@ -223,8 +227,8 @@ def kpca_experiment(
         reports.append(
             PcaReport(
                 sigma=sigma.sigma,
-                t=int(t),
-                k=int(k),
+                t=t,
+                k=k,
                 r_exact=r_exact,
                 r_approx=r_approx,
                 rel_err=rel_err,

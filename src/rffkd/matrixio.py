@@ -176,9 +176,11 @@ def write_blocks(dest, blocks, shape, fmt: str = "csv", header: bool = False) ->
 
 
 def read_matrix(src, fmt: str = "csv", header: bool = False) -> np.ndarray:
-    """Read a matrix in the named format ("csv" or "raw-f64")."""
+    """Read a matrix in the named format ("csv" or "raw-f64"); header is for CSV only."""
     if fmt == "csv":
         return _read_csv(src, header=header)
     if fmt == "raw-f64":
+        if header:
+            raise ValueError("header applies only to csv input, not raw-f64")
         return _read_raw(src)
     raise ValueError(f"unknown matrix format {fmt!r}; choose from {FORMATS}")

@@ -12,8 +12,9 @@ formula_note recording exactly which expression produced it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+
+from ._checks import integer, real
 
 __all__ = [
     "DEFAULT_CONSTANT",
@@ -59,23 +60,6 @@ class DimensionRequest:
     constant_override: float = None  # type: ignore[assignment]
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-
-
-def _check_delta(delta: float) -> None:
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-
-
-def _constant(override: float | None) -> float:
-    c = DEFAULT_CONSTANT if override is None else float(override)
-    if not (c > 0.0 and math.isfinite(c)):
-        raise ValueError(f"constant must be positive and finite, got {c}")
-    return c
-
-
 def _per_pair_raw(epsilon: float, delta: float, constant: float) -> float:
     return constant * epsilon ** -2 * math.log(2.0 / delta)
 
@@ -101,9 +85,9 @@ def _plan(raw: float, regime: str, note: str) -> DimensionPlan:
 def plan_per_pair(epsilon: float, delta: float, constant: float | None = None) -> DimensionPlan:
     """Pairs needed so one fixed pair's distance ratio stays within 1 +/- eps
     with probability at least 1 - delta: t = ceil(C/eps^2 * ln(2/delta))."""
-    _check_epsilon(epsilon)
-    _check_delta(delta)
-    c = _constant(constant)
+    real("epsilon", epsilon, 0.0, 1.0)
+    real("delta", delta, 0.0, 1.0)
+    c = DEFAULT_CONSTANT if constant is None else real("constant", constant, 0.0)
     raw = _per_pair_raw(epsilon, delta, c)
     note = f"t = ceil({c:g} * eps^-2 * ln(2/delta)) = ceil({raw:.6g})"
     return _plan(raw, "per-pair", note)
@@ -115,14 +99,9 @@ def plan_finite_points(epsilon: float, n: int, constant: float | None = None) ->
     Union-bounds the per-pair guarantee over the n(n-1)/2 pairs with an
     overall failure budget of 1/n: t = ceil(C/eps^2 * ln(n(n-1))).
     """
-    _check_epsilon(epsilon)
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}") from None
-    if n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n}")
-    c = _constant(constant)
+    real("epsilon", epsilon, 0.0, 1.0)
+    n = integer("n", n, minimum=2)
+    c = DEFAULT_CONSTANT if constant is None else real("constant", constant, 0.0)
     raw = _finite_points_raw(epsilon, n, c)
     note = (
         f"t = ceil({c:g} * eps^-2 * ln(n*(n-1))) = ceil({raw:.6g}); "
@@ -145,17 +124,11 @@ def plan_bounded_diameter(
     argument behind this regime fixes only the shape of the expression, so
     the note records the extrapolation.
     """
-    _check_epsilon(epsilon)
-    _check_delta(delta)
-    try:
-        dim = operator.index(dim)
-    except TypeError:
-        raise ValueError(f"dim must be an integer >= 1, got {dim!r}") from None
-    if dim < 1:
-        raise ValueError(f"dim must be an integer >= 1, got {dim}")
-    if not (diameter >= 0.0 and math.isfinite(diameter)):
-        raise ValueError(f"diameter must be nonnegative and finite, got {diameter}")
-    c = _constant(constant)
+    real("epsilon", epsilon, 0.0, 1.0)
+    real("delta", delta, 0.0, 1.0)
+    dim = integer("dim", dim)
+    real("diameter", diameter, 0.0, lo_open=False)
+    c = DEFAULT_CONSTANT if constant is None else real("constant", constant, 0.0)
     raw = _bounded_diameter_raw(epsilon, delta, dim, diameter, c)
     note = (
         f"t = ceil({c:g} * dim * eps^-2 * ln((dim/eps) * (max(M, e)/delta))) = ceil({raw:.6g}); "
@@ -164,32 +137,28 @@ def plan_bounded_diameter(
     return _plan(raw, "bounded-diameter", note)
 
 
-# Request fields each regime ignores; setting one is an error, so no report
-# shows an input that its plan did not use.
-_UNUSED_FIELDS = {
-    "per-pair": ("n", "dim", "diameter"),
-    "finite-points": ("delta", "dim", "diameter"),
-    "bounded-diameter": ("n",),
+# Each regime's planner and the request fields it takes after epsilon, in
+# argument order.  Setting any other field is an error, so no report shows
+# an input that its plan did not use.
+_REGIMES = {
+    "per-pair": (plan_per_pair, ("delta",)),
+    "finite-points": (plan_finite_points, ("n",)),
+    "bounded-diameter": (plan_bounded_diameter, ("delta", "dim", "diameter")),
 }
 
 
 def plan(request: DimensionRequest) -> DimensionPlan:
     """Dispatch a DimensionRequest to the matching planner."""
-    unused = [f for f in _UNUSED_FIELDS.get(request.regime, ()) if getattr(request, f) is not None]
+    if request.regime not in _REGIMES:
+        raise ValueError(f"unknown regime {request.regime!r}")
+    planner, used = _REGIMES[request.regime]
+    fields = ("delta", "n", "dim", "diameter")
+    unused = [f for f in fields if f not in used and getattr(request, f) is not None]
     if unused:
         raise ValueError(f"{request.regime} regime does not use {', '.join(unused)}")
-    if request.regime == "per-pair":
-        if request.delta is None:
-            raise ValueError("per-pair regime requires delta")
-        return plan_per_pair(request.epsilon, request.delta, request.constant_override)
-    if request.regime == "finite-points":
-        if request.n is None:
-            raise ValueError("finite-points regime requires n")
-        return plan_finite_points(request.epsilon, request.n, request.constant_override)
-    if request.regime == "bounded-diameter":
-        if request.delta is None or request.dim is None or request.diameter is None:
-            raise ValueError("bounded-diameter regime requires delta, dim and diameter")
-        return plan_bounded_diameter(
-            request.epsilon, request.delta, request.dim, request.diameter, request.constant_override
-        )
-    raise ValueError(f"unknown regime {request.regime!r}")
+    args = [getattr(request, f) for f in used]
+    if any(a is None for a in args):
+        *rest, last = used
+        names = f"{', '.join(rest)} and {last}" if rest else last
+        raise ValueError(f"{request.regime} regime requires {names}")
+    return planner(request.epsilon, *args, request.constant_override)

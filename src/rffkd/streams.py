@@ -14,6 +14,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from ._checks import integer
+
 __all__ = ["check_seed", "row_generator", "row_generators", "generator", "derive_seed"]
 
 _SEED_BOUND = 1 << 64
@@ -21,14 +23,8 @@ _SEED_BOUND = 1 << 64
 
 def check_seed(seed: int) -> int:
     """Validate and return a seed in [0, 2^64)."""
-    try:
-        value = int(seed)
-        exact = value == seed
-    except (TypeError, ValueError):
-        raise ValueError(f"seed must be an integer, got {seed!r}") from None
-    if not exact:
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if not (0 <= value < _SEED_BOUND):
+    value = integer("seed", seed, minimum=0)
+    if value >= _SEED_BOUND:
         raise ValueError(f"seed must lie in [0, 2^64), got {value}")
     return value
 
@@ -84,5 +80,5 @@ def derive_seed(seed: int, *path: int) -> int:
     while keeping the whole experiment reproducible from one seed.
     """
     seed = check_seed(seed)
-    ss = np.random.SeedSequence((seed, *[int(p) for p in path]))
+    ss = np.random.SeedSequence((seed, *[integer("path entry", p, minimum=0) for p in path]))
     return int(ss.generate_state(1, np.uint64)[0])

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._checks import integer, real
 from .features import FeatureMap, projected_frequencies, sq_distance_from_projections
 from .kernel import ScaledDiff, kernel_from_scaled_norm, sq_distance_from_scaled_norm
 from .planner import plan_per_pair
@@ -77,13 +78,6 @@ def _two_sided(name: str, samples: int, statistic: float, target: float, std_err
     )
 
 
-def _check_scaled_norm(delta_norm: float) -> float:
-    delta_norm = float(delta_norm)
-    if not (delta_norm >= 0.0 and math.isfinite(delta_norm)):
-        raise ValueError(f"scaled norm must be nonnegative and finite, got {delta_norm}")
-    return delta_norm
-
-
 def _mean_std_in_place(vals: np.ndarray) -> tuple[float, float]:
     """(vals.mean(), vals.std(ddof=1)) without std's temporary; overwrites vals.
 
@@ -103,9 +97,8 @@ def check_unbiasedness(delta_norm: float, samples: int, seed: int) -> VerifyRepo
     This is the expectation of the embedded inner product of a pair at
     scaled distance r under the CosSin map, per frequency row.  Two-sided.
     """
-    r = _check_scaled_norm(delta_norm)
-    if samples < 2:
-        raise ValueError("need at least two samples")
+    r = real("delta_norm", delta_norm, 0.0, lo_open=False)
+    samples = integer("samples", samples, minimum=2)
     # cos(w r) in place: one array of samples
     vals = _generator(seed).standard_normal(samples)
     vals *= r
@@ -127,9 +120,8 @@ def check_shift_unbiasedness(delta_norm: float, samples: int, seed: int) -> Veri
     a - b = w r averages to cos(w r), hence to exp(-r^2/2) over w.
     Two-sided.  No distance guarantee is implied for this variant.
     """
-    r = _check_scaled_norm(delta_norm)
-    if samples < 2:
-        raise ValueError("need at least two samples")
+    r = real("delta_norm", delta_norm, 0.0, lo_open=False)
+    samples = integer("samples", samples, minimum=2)
     gen = _generator(seed)
     vals = gen.standard_normal(samples)
     # g = 2 pi (1 - u) and 2 cos(w r + g) cos(g), all in place: two arrays of samples
@@ -159,8 +151,7 @@ def check_chi_square(epsilon: float, delta: float, trials: int, seed: int) -> Ve
     trials whose mean squared projection leaves the window must not exceed
     delta (plus Monte Carlo allowance).  One-sided against delta.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    trials = integer("trials", trials)
     t = plan_per_pair(epsilon, delta).pair_count
     w = _generator(seed).standard_normal((trials, t))
     mean_sq = np.mean(w * w, axis=1)
@@ -173,6 +164,13 @@ def check_chi_square(epsilon: float, delta: float, trials: int, seed: int) -> Ve
         delta,
         std_err,
     )
+
+
+def _shrink_factors(lambdas: Sequence[float]) -> np.ndarray:
+    lam = np.asarray(sorted(float(v) for v in lambdas), dtype=np.float64)
+    if lam.size == 0 or not np.all((lam > 0.0) & (lam <= 1.0)):
+        raise ValueError(f"lambdas must be one or more values in (0, 1], got {lam.tolist()}")
+    return lam
 
 
 def _ratio_curve(proj: np.ndarray, scaled_norm: float, lambdas: np.ndarray) -> np.ndarray:
@@ -191,24 +189,19 @@ def check_limit_ratio(diff: ScaledDiff, fmap: FeatureMap, lambdas: Sequence[floa
     (1/t) sum_i w_i^2.  Deterministic given the map, so std_err = 0 and the
     tolerance is a fixed 1e-4 relative gap.
     """
-    lam = np.asarray(sorted(float(v) for v in lambdas), dtype=np.float64)
-    if lam.size == 0:
-        raise ValueError("need at least one lambda")
-    if np.any(lam <= 0.0) or np.any(lam > 1.0):
-        raise ValueError("lambdas must lie in (0, 1]")
+    lam = _shrink_factors(lambdas)
     if diff.norm == 0.0:
         raise ValueError("limit ratio is undefined for a zero difference")
     proj = projected_frequencies(fmap, diff)
     ratios = _ratio_curve(proj, diff.norm, lam)
     chi = float(np.mean(proj * proj))
     statistic = abs(ratios[0] / chi - 1.0)
-    return VerifyReport(
-        check_name=f"vanishing_distance_limit[r={diff.norm:g},t={proj.size},lmin={lam[0]:g}]",
-        samples=proj.size,
-        statistic=float(statistic),
-        bound=1e-4,
+    return _one_sided(
+        f"vanishing_distance_limit[r={diff.norm:g},t={proj.size},lmin={lam[0]:g}]",
+        proj.size,
+        statistic,
+        1e-4,
         std_err=0.0,
-        passed=bool(statistic <= 1e-4),
     )
 
 
@@ -220,15 +213,12 @@ def check_mgf_bound(delta_norm: float, s: float, samples: int, seed: int) -> Ver
     One-sided, with a delta-method standard error on the log of the sample
     mean.
     """
-    r = _check_scaled_norm(delta_norm)
+    r = real("delta_norm", delta_norm, 0.0, lo_open=False)
     if r > 1.0:
         raise ValueError(f"scaled norm must be <= 1 for this check, got {r}")
-    if samples < 2:
-        raise ValueError("need at least two samples")
-    s = float(s)
+    samples = integer("samples", samples, minimum=2)
     window = math.inf if r == 0.0 else 1.0 / (2.0 * r * r)
-    if not (0.0 <= s < window):
-        raise ValueError(f"s must lie in [0, {window:g}) for r={r:g}, got {s}")
+    s = real("s", s, 0.0, window, lo_open=False)
     # exp(s (K - cos(w r))) in place: one array of samples
     x = _generator(seed).standard_normal(samples)
     x *= r
@@ -259,18 +249,11 @@ def check_scale_sweep(
     SCALE_SWEEP_DELTA_CONSTANT = 3, so the reported bound is 3 delta.
     One-sided.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not (0.0 < delta < 1.0 / math.e):
+    trials = integer("trials", trials)
+    real("epsilon", epsilon, 0.0, 1.0)
+    if real("delta", delta, 0.0, 1.0) >= 1.0 / math.e:
         raise ValueError(f"delta must lie in (0, 1/e) so the threshold norm exists, got {delta}")
-    if lambdas is None:
-        lam = np.logspace(-6, 0, 25)
-    else:
-        lam = np.asarray(sorted(float(v) for v in lambdas), dtype=np.float64)
-        if lam.size == 0 or np.any(lam <= 0.0) or np.any(lam > 1.0):
-            raise ValueError("lambdas must lie in (0, 1]")
+    lam = np.logspace(-6, 0, 25) if lambdas is None else _shrink_factors(lambdas)
     r = math.sqrt(epsilon) / math.log(1.0 / delta)
     t = plan_per_pair(epsilon, delta).pair_count
     gen = _generator(seed)
@@ -301,15 +284,12 @@ def check_tail_bound(
     embedded distance leaves [1 - eps, 1 + eps] times the exact squared
     distance with probability at most delta.  One-sided against delta.
     """
-    r = _check_scaled_norm(delta_norm)
+    r = real("delta_norm", delta_norm, 0.0, lo_open=False)
     if r == 0.0:
         raise ValueError("tail check needs a positive scaled norm")
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    real("epsilon", epsilon, 0.0, 1.0)
+    real("delta", delta, 0.0, 1.0)
+    trials = integer("trials", trials)
     d_sq = sq_distance_from_scaled_norm(r)
     t = math.ceil((6.0 / epsilon**2) * (r**4 / d_sq**2) * math.log(2.0 / delta))
     w = _generator(seed).standard_normal((trials, t))
@@ -339,8 +319,7 @@ def run_battery(seed: int, samples: int = 1_000_000) -> list[VerifyReport]:
     from .kernel import Bandwidth
 
     seed = check_seed(seed)
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 2:
-        raise ValueError(f"samples must be an integer >= 2, got {samples!r}")
+    samples = integer("samples", samples, minimum=2)
     sigma = Bandwidth(1.0)
     gen = _generator(derive_seed(seed, 6))
     diff = ScaledDiff(gen.standard_normal(8) / math.sqrt(8.0))

@@ -169,6 +169,15 @@ class TestEmbed:
         rc, _, err = run_cli(capsys, "embed", "--input", str(tmp_path / "nope.csv"))
         assert rc == 2 and "rffkd: error:" in err
 
+    @pytest.mark.parametrize("command", [["embed"], ["kpca", "--k", "1", "--t-list", "4"]])
+    def test_header_with_raw_input_is_error(self, tmp_path, capsys, command):
+        path = tmp_path / "pts.bin"
+        write_matrix(path, np.ones((4, 2)), fmt="raw-f64")
+        rc, out, err = run_cli(
+            capsys, *command, "--input", str(path), "--input-format", "raw-f64", "--header"
+        )
+        assert rc == 2 and out == "" and "header" in err
+
 
 BLOCK_ROWS = 5  # rows per embed block in the streaming tests
 
@@ -240,6 +249,19 @@ class TestGen:
     def test_grid_requires_diameter(self, capsys):
         rc, _, err = run_cli(capsys, "gen", "--kind", "grid")
         assert rc == 2 and "--diameter is required" in err
+
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--n", "--kind grid --diameter 3 --n 5"),
+            ("--clusters", "--kind grid --diameter 3 --clusters 4"),
+            ("--diameter", "--kind synth --n 5 --diameter 5"),
+            ("--epsilon", "--kind synth --n 5 --epsilon 0.5"),
+        ],
+    )
+    def test_flag_of_the_other_kind_is_error(self, capsys, flag, argv):
+        rc, out, err = run_cli(capsys, "gen", *argv.split())
+        assert rc == 2 and out == "" and flag in err
 
     def test_synth_deterministic_with_seed(self, capsys):
         args = ("--seed", "3", "gen", "--kind", "synth", "--n", "10", "--dim", "4")
@@ -376,3 +398,27 @@ def test_cli_import_leaves_scipy_out():
 def test_scipy_probe_sees_an_import():
     """Negative control: the probe above reports scipy once something loads it."""
     assert imports_scipy("import rffkd.cli\nimport scipy.spatial.distance")
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    """A reader that stops after 100 bytes, as `rffkd gen ... | head -c 100`
+    does, ends the CLI with status 141 (128 + SIGPIPE) and an empty stderr.
+    Only a real pipe shows this: capsys has no file descriptor to close."""
+    env = dict(os.environ)
+    src = str(Path(rffkd.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # 200 x 256 CSV values, about 1 MB: far more than a pipe buffer holds
+    argv = [sys.executable, "-m", "rffkd.cli", "gen", "--kind", "synth", "--n", "200"]
+    with open(tmp_path / "stderr", "w+b") as err:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, env=env)
+        try:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            rc = proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        err.seek(0)
+        assert err.read() == b""
+    assert rc == 141

@@ -263,5 +263,12 @@ class TestDispatch:
         with pytest.raises(ValueError, match="unknown matrix format"):
             read_matrix(tmp_path / "m.dat", fmt="npz")
 
+    def test_raw_header_rejected(self, tmp_path):
+        """A raw-f64 file has no header row to skip, so header=True is refused."""
+        path = tmp_path / "m.bin"
+        write_matrix(path, [[1.0, 2.0]], fmt="raw-f64")
+        with pytest.raises(ValueError, match="header"):
+            read_matrix(path, fmt="raw-f64", header=True)
+
     def test_format_error_is_value_error(self):
         assert issubclass(MatrixFormatError, ValueError)
