@@ -88,13 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     parser.add_argument("--sigma", type=float, default=1.0, help="kernel bandwidth (default 1.0)")
     parser.add_argument(
-        "--t", type=int, default=64, help="feature pairs / features for embed (default 64)"
+        "--t", type=int, default=None, help="feature pairs / features, embed only (default 64)"
     )
     parser.add_argument(
         "--variant",
         choices=[v.value for v in Variant],
-        default=Variant.COS_SIN.value,
-        help="feature map variant (default cossin)",
+        default=None,
+        help="feature map variant, for embed, kpca and pairs (default cossin)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -164,12 +164,19 @@ def _read_input_matrix(args) -> PointSet:
     return PointSet(data)
 
 
+def _variant(args) -> Variant:
+    return Variant.COS_SIN if args.variant is None else Variant(args.variant)
+
+
 def _cmd_embed(args) -> int:
     points = _read_input_matrix(args)
     spec = FeatureMapSpec(
-        variant=Variant(args.variant), sigma=Bandwidth(args.sigma), size=args.t, seed=args.seed
+        variant=_variant(args),
+        sigma=Bandwidth(args.sigma),
+        size=64 if args.t is None else args.t,
+        seed=args.seed,
     )
-    # one block of output in memory at a time, whatever n * output_dim is
+    # a few blocks of output in memory at a time, whatever n * output_dim is
     blocks = embed_blocks(points, sample_map(spec, points.dim))
     _write_matrix_output(args, blocks, (points.n, spec.output_dim))
     return 0
@@ -227,7 +234,7 @@ def _cmd_kpca(args) -> int:
         _parse_t_list(args.t_list),
         args.trials,
         args.seed,
-        variant=Variant(args.variant),
+        variant=_variant(args),
     )
     columns = ["sigma", "t", "k", "R_exact", "R_approx", "rel_err"]
     rows = [[r.sigma, r.t, r.k, r.r_exact, r.r_approx, r.rel_err] for r in reports]
@@ -245,7 +252,7 @@ def _cmd_pairs(args) -> int:
         sigma=Bandwidth(args.sigma),
         t_list=_parse_t_list(args.t_list),
         seed=args.seed,
-        variant=Variant(args.variant),
+        variant=_variant(args),
     )
     reports = pairs_experiment(cfg, dim=args.dim)
     columns = ["t", "r", "d_exact", "d_approx", "ratio"]
@@ -293,10 +300,17 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+# The global flags that only some subcommands read; the others refuse them.
+_COMMANDS_OF_FLAG = {"t": ("embed",), "variant": ("embed", "kpca", "pairs")}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, commands in _COMMANDS_OF_FLAG.items():
+            if args.command not in commands and getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} applies only to {', '.join(commands)}")
         status = args.func(args)
         sys.stdout.flush()
     except BrokenPipeError:

@@ -52,9 +52,10 @@ class PairExperimentConfig:
     def __post_init__(self) -> None:
         integer("n_pairs", self.n_pairs)
         real("ball_radius", self.ball_radius, 0.0)
-        if not (0 < self.dist_min <= self.dist_max < math.inf):
+        dist_min = real("dist_min", self.dist_min, 0.0)
+        if real("dist_max", self.dist_max, 0.0) < dist_min:
             raise ValueError(
-                f"need 0 < dist_min <= dist_max < inf, got [{self.dist_min}, {self.dist_max}]"
+                f"dist_min must not exceed dist_max, got [{self.dist_min}, {self.dist_max}]"
             )
         if len(self.t_list) < 1:
             raise ValueError(f"t_list must hold integers >= 1, got {self.t_list}")

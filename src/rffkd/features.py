@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +120,8 @@ def sample_map(spec: FeatureMapSpec, dim: int) -> FeatureMap:
 
 # Output bytes per row block of embed and embed_blocks.  Features of a point
 # depend only on that point and the map, so blocks change nothing but peak
-# memory, which is one block of output plus its projection.
+# memory, which is about w + 1 blocks of output and projection for w usable
+# CPUs (see _pipeline).
 BLOCK_BYTES = 2 * 1024 * 1024
 
 
@@ -139,9 +141,8 @@ def _row_blocks(n: int, output_dim: int):
         start = stop
 
 
-def _embed_rows(data: np.ndarray, fmap: FeatureMap, out: np.ndarray) -> None:
-    """Features of the rows of data, written into out (rows x output_dim)."""
-    proj = data @ fmap.frequencies.T  # rows x size
+def _trig_rows(proj: np.ndarray, fmap: FeatureMap, out: np.ndarray) -> np.ndarray:
+    """Features of some rows, from their projection, written into out."""
     spec = fmap.spec
     if spec.variant is Variant.COS_SIN:
         np.cos(proj, out=out[:, 0::2])
@@ -151,6 +152,15 @@ def _embed_rows(data: np.ndarray, fmap: FeatureMap, out: np.ndarray) -> None:
         proj += fmap.shifts
         np.cos(proj, out=out)
         out *= math.sqrt(2.0 / spec.size)
+    return out
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def _check_dims(points: PointSet, fmap: FeatureMap) -> None:
@@ -158,12 +168,49 @@ def _check_dims(points: PointSet, fmap: FeatureMap) -> None:
         raise ValueError(f"dimension mismatch: points have dim {points.dim}, map has dim {fmap.dim}")
 
 
+def _pipeline(points: PointSet, fmap: FeatureMap, out: np.ndarray | None = None):
+    """Feature row blocks of points, in order: views of out, or fresh arrays.
+
+    The calling thread computes each block's projection matmul; cos/sin and
+    the scaling, which numpy runs on one thread, go to a pool of one thread
+    per usable CPU (w).  At most w blocks are in flight: once w are pending,
+    the oldest is yielded before the next is submitted, so whatever consumes
+    the blocks overlaps the pool's work on later ones.  Each block goes
+    through the same calls on the same rows as in the serial loop, so the
+    bytes are the same.  The matmul stays on the calling thread because on
+    the pool it would contend with BLAS's own threads.
+    """
+    data, dim = points.data, fmap.spec.output_dim
+    blocks = list(_row_blocks(points.n, dim))
+    workers = _usable_cpus()
+
+    def job(start, stop):
+        """_trig_rows' arguments for one block, its matmul done."""
+        dest = np.empty((stop - start, dim)) if out is None else out[start:stop]
+        return data[start:stop] @ fmap.frequencies.T, fmap, dest
+
+    if workers == 1 or len(blocks) == 1:
+        for start, stop in blocks:
+            yield _trig_rows(*job(start, stop))
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    pending = []
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for start, stop in blocks:
+            if len(pending) == workers:
+                yield pending.pop(0).result()
+            pending.append(pool.submit(_trig_rows, *job(start, stop)))
+        while pending:
+            yield pending.pop(0).result()
+
+
 def embed(points: PointSet, fmap: FeatureMap) -> Embedding:
     """Apply the map to every row of points."""
     _check_dims(points, fmap)
     out = np.empty((points.n, fmap.spec.output_dim))
-    for start, stop in _row_blocks(points.n, fmap.spec.output_dim):
-        _embed_rows(points.data[start:stop], fmap, out[start:stop])
+    for _ in _pipeline(points, fmap, out):
+        pass
     out.setflags(write=False)
     return Embedding(features=out, spec=fmap.spec)
 
@@ -174,14 +221,7 @@ def embed_blocks(points: PointSet, fmap: FeatureMap):
     The dimension check runs at the call, before any block is made.
     """
     _check_dims(points, fmap)
-    return _blocks(points, fmap)
-
-
-def _blocks(points: PointSet, fmap: FeatureMap):
-    for start, stop in _row_blocks(points.n, fmap.spec.output_dim):
-        out = np.empty((stop - start, fmap.spec.output_dim))
-        _embed_rows(points.data[start:stop], fmap, out)
-        yield out
+    return _pipeline(points, fmap)
 
 
 def projected_frequencies(fmap: FeatureMap, diff: ScaledDiff) -> np.ndarray:

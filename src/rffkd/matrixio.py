@@ -152,7 +152,7 @@ def _read_raw(src) -> np.ndarray:
 
 
 def write_matrix(dest, data, fmt: str = "csv", header: bool = False) -> None:
-    """Write a matrix in the named format ("csv" or "raw-f64")."""
+    """Write a matrix in the named format ("csv" or "raw-f64"); header is for CSV only."""
     arr = _check_matrix(data)
     write_blocks(dest, [arr], arr.shape, fmt=fmt, header=header)
 
@@ -162,7 +162,7 @@ def write_blocks(dest, blocks, shape, fmt: str = "csv", header: bool = False) ->
 
     Blocks are consumed one at a time, so only the block being written needs
     to be in memory.  ValueError if the blocks do not stack into exactly the
-    declared shape (n, d), or if it is empty.
+    declared shape (n, d), if it is empty, or if header is asked of raw-f64.
     """
     n, d = (int(v) for v in shape)
     if n < 1 or d < 1:
@@ -170,6 +170,8 @@ def write_blocks(dest, blocks, shape, fmt: str = "csv", header: bool = False) ->
     if fmt == "csv":
         _write_csv_blocks(dest, blocks, (n, d), header)
     elif fmt == "raw-f64":
+        if header:
+            raise ValueError("header applies only to csv output, not raw-f64")
         _write_raw_blocks(dest, blocks, (n, d))
     else:
         raise ValueError(f"unknown matrix format {fmt!r}; choose from {FORMATS}")

@@ -37,8 +37,9 @@ def row_generator(seed: int, row: int) -> np.random.Generator:
     many other rows exist.
     """
     seed = check_seed(seed)
-    if not (0 <= row < _SEED_BOUND):
-        raise ValueError(f"row index must lie in [0, 2^64), got {row}")
+    row = integer("row", row, minimum=0)
+    if row >= _SEED_BOUND:
+        raise ValueError(f"row must lie in [0, 2^64), got {row}")
     return np.random.Generator(np.random.Philox(key=(seed << 64) | row))
 
 

@@ -17,7 +17,6 @@ the full object.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -315,7 +314,7 @@ def run_battery(seed: int, samples: int = 1_000_000) -> list[VerifyReport]:
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    from .features import FeatureMapSpec, Variant, sample_map
+    from .features import FeatureMapSpec, Variant, _usable_cpus, sample_map
     from .kernel import Bandwidth
 
     seed = check_seed(seed)
@@ -338,10 +337,6 @@ def run_battery(seed: int, samples: int = 1_000_000) -> list[VerifyReport]:
         (check_scale_sweep, 0.2, 0.1, derive_seed(seed, 10)),
         (check_tail_bound, 0.5, 0.25, 0.1, 1000, derive_seed(seed, 11)),
     ]
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        cpus = os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=min(len(checks), cpus)) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(checks), _usable_cpus())) as pool:
         futures = [pool.submit(fn, *args) for fn, *args in checks]
         return [f.result() for f in futures]

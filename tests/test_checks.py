@@ -41,7 +41,7 @@ from rffkd import (
     sample_map,
     synth_dataset,
 )
-from rffkd.streams import check_seed, derive_seed
+from rffkd.streams import check_seed, derive_seed, row_generator
 
 SIGMA = Bandwidth(1.0)
 SPEC = FeatureMapSpec(Variant.COS_SIN, SIGMA, 4, 0)
@@ -57,6 +57,7 @@ COUNTS = {
     "sample_map.dim": ("dim", lambda v: sample_map(SPEC, v)),
     "check_seed": ("seed", check_seed),
     "derive_seed.path": ("path entry", lambda v: derive_seed(0, 1, v)),
+    "row_generator.row": ("row", lambda v: row_generator(0, v)),
     "exact_tail_energy.k": ("k", lambda v: exact_tail_energy(CENTERED, v)),
     "residual_from_centered.k": ("k", lambda v: residual_from_centered(np.eye(8), v)),
     "kpca_experiment.k": ("k", lambda v: kpca_experiment(POINTS, SIGMA, v, [4], 1, 0)),
@@ -90,6 +91,8 @@ REALS = {
     "PairExperimentConfig.ball_radius": (
         "ball_radius", lambda v: PairExperimentConfig(ball_radius=v), 10.0
     ),
+    "PairExperimentConfig.dist_min": ("dist_min", lambda v: PairExperimentConfig(dist_min=v), 1e-3),
+    "PairExperimentConfig.dist_max": ("dist_max", lambda v: PairExperimentConfig(dist_max=v), 1e3),
     "gen_grid_stress.diameter": ("diameter", lambda v: gen_grid_stress(2, v, SIGMA, 0.25), 1.0),
     "gen_grid_stress.epsilon": ("epsilon", lambda v: gen_grid_stress(2, 1.0, SIGMA, v), 0.25),
     "synth_dataset.center_spread": (

@@ -208,6 +208,19 @@ class TestEmbedStreaming:
         assert rc == 0 and err == ""
         assert dest.read_bytes() == whole.read_bytes()
 
+    @pytest.mark.parametrize("cpus", [1, 4], ids=["1cpu", "4cpus"])
+    @pytest.mark.parametrize("fmt", ["csv", "raw-f64"])
+    @pytest.mark.parametrize("variant", [v.value for v in Variant])
+    @pytest.mark.parametrize(
+        "n", [1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+    )
+    def test_output_bytes_on_either_path(
+        self, tmp_path, capsys, monkeypatch, cpus, fmt, variant, n
+    ):
+        """The same bytes from the serial loop (1 CPU) and the thread pool (4)."""
+        monkeypatch.setattr(rffkd.features, "_usable_cpus", lambda: cpus)
+        self.test_output_bytes_equal_whole_matrix(tmp_path, capsys, monkeypatch, fmt, variant, n)
+
     def test_memory_bounded_by_blocks_not_output(self, tmp_path):
         """20000 x 800 output is 128 MB; the CLI holds a few blocks plus the input."""
         pts = np.random.default_rng(0).standard_normal((20000, 8))
@@ -350,6 +363,42 @@ class TestVerify:
         assert rc == 2
         assert out == ""
         assert f"samples must be an integer >= 2, got {samples}" in err
+
+
+class TestGlobalFlags:
+    """--t is read by embed alone, --variant by embed, kpca and pairs."""
+
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--t", "--t 5 verify --samples 1000"),
+            ("--t", "--t 5 dims --regime per-pair --epsilon 0.3 --delta 0.2"),
+            ("--t", "--t 5 kpca --synth-n 20 --synth-dim 3 --k 2 --t-list 8 --trials 1"),
+            ("--t", "--t 5 pairs --pairs 5 --dim 2 --t-list 8"),
+            ("--t", "--t 5 gen --kind synth --n 20 --dim 2"),
+            ("--variant", "--variant cosshift verify --samples 1000"),
+            ("--variant", "--variant cossin dims --regime per-pair --epsilon 0.3 --delta 0.2"),
+            ("--variant", "--variant cossin gen --kind synth --n 20 --dim 2"),
+        ],
+    )
+    def test_flag_the_command_ignores_is_error(self, capsys, flag, argv):
+        rc, out, err = run_cli(capsys, *argv.split())
+        assert rc == 2 and out == ""
+        assert err.startswith(f"rffkd: error: {flag} applies only to ")
+
+    @pytest.mark.parametrize(
+        "given, argv",
+        [
+            ("--t 64 --variant cossin", "embed --input {}"),
+            ("--variant cossin", "kpca --input {} --k 2 --t-list 8 --trials 1"),
+            ("--variant cossin", "pairs --pairs 5 --dim 2 --t-list 8"),
+        ],
+    )
+    def test_defaults_given_explicitly_change_nothing(self, tmp_path, capsys, given, argv):
+        path = tmp_path / "pts.csv"
+        write_matrix(path, np.random.default_rng(0).standard_normal((6, 3)))
+        argv = argv.format(path).split()
+        assert run_cli(capsys, *given.split(), *argv) == run_cli(capsys, *argv)
 
 
 class TestParser:

@@ -5,7 +5,10 @@ distributions, both embedding variants, and the projection identities that
 reduce pairwise embedded quantities to standard normal scalars.
 """
 
+import concurrent.futures
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -48,6 +51,12 @@ class TestStreams:
         for bad in (-1, 2**64, "x", None, 1.5):
             with pytest.raises(ValueError):
                 check_seed(bad)
+
+    def test_row_index_bounds(self):
+        row_generator(0, 2**64 - 1)
+        for bad in (-1, 2**64):
+            with pytest.raises(ValueError, match="^row must"):
+                row_generator(0, bad)
 
     def test_row_streams_are_deterministic(self):
         a = row_generator(123, 5).standard_normal(8)
@@ -413,6 +422,130 @@ class TestEmbedBlocks:
     def test_dimension_mismatch_rejected_at_call(self):
         with pytest.raises(ValueError, match="mismatch"):
             embed_blocks(PointSet(np.zeros((1, 3))), sample_map(cossin_spec(), 4))
+
+
+@pytest.fixture(params=[1, 4], ids=["1cpu", "4cpus"])
+def cpus(request, monkeypatch):
+    """The usable CPU count the pipeline sees: 1 takes the serial loop, 4 the pool."""
+    monkeypatch.setattr(rffkd.features, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every thread pool the pipeline builds, each counting its submissions."""
+    made = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            self.submitted = 0
+            made.append(self)
+
+        def submit(self, *args, **kwargs):
+            self.submitted += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    return made
+
+
+def block_ranks(points, fmap):
+    """Block index keyed by the first entry of the block's projection, which
+    the pipeline computes by the same product on the same rows."""
+    blocks = rffkd.features._row_blocks(points.n, fmap.spec.output_dim)
+    return {(points.data[a:b] @ fmap.frequencies.T)[0, 0]: i for i, (a, b) in enumerate(blocks)}
+
+
+class TestEmbedPipeline:
+    """The block pipeline on one CPU (serial loop) and on four (thread pool)."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("n", BOUNDARY_NS)
+    def test_blocks_equal_whole_matrix_bits(self, monkeypatch, cpus, variant, n):
+        points, fmap = block_case(variant, n)
+        whole = whole_matrix_features(points, fmap).tobytes()
+        use_small_blocks(monkeypatch, fmap.spec.output_dim)
+        assert np.vstack(list(embed_blocks(points, fmap))).tobytes() == whole
+        assert embed(points, fmap).features.tobytes() == whole
+
+    def test_one_row_tail_breaks_bit_equality(self, monkeypatch, cpus):
+        """Negative control, on both paths: a lone last row changes its bits."""
+        points, fmap = block_case(Variant.COS_SIN, 2 * BLOCK_ROWS + 1)
+        whole = whole_matrix_features(points, fmap)
+        use_small_blocks(monkeypatch, fmap.spec.output_dim)
+        monkeypatch.setattr(rffkd.features, "_row_blocks", one_row_tail_blocks)
+        got = np.vstack(list(embed_blocks(points, fmap)))
+        assert got[:-1].tobytes() == whole[:-1].tobytes()
+        assert got[-1].tobytes() != whole[-1].tobytes()
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_early_blocks_finishing_last_keep_order_and_bits(self, monkeypatch, cpus, variant):
+        """cos/sin of each block waits longer the earlier the block is, so later
+        blocks finish first.  Blocks still come out in order, each computed
+        from its own projection."""
+        points, fmap = block_case(variant, 8 * BLOCK_ROWS)
+        whole = whole_matrix_features(points, fmap).tobytes()
+        use_small_blocks(monkeypatch, fmap.spec.output_dim)
+        ranks = block_ranks(points, fmap)
+        trig = rffkd.features._trig_rows
+
+        def slow_early_trig(proj, fmap, out):
+            time.sleep(0.003 * (len(ranks) - ranks.get(proj[0, 0], 0)))
+            return trig(proj, fmap, out)
+
+        monkeypatch.setattr(rffkd.features, "_trig_rows", slow_early_trig)
+        assert np.vstack(list(embed_blocks(points, fmap))).tobytes() == whole
+        assert embed(points, fmap).features.tobytes() == whole
+
+    def test_at_most_w_blocks_in_flight(self, monkeypatch, cpus, pools):
+        """A pool of w threads exactly when w > 1, and w blocks submitted
+        ahead of the one being consumed, never more."""
+        points, fmap = block_case(Variant.COS_SIN, 8 * BLOCK_ROWS)
+        use_small_blocks(monkeypatch, fmap.spec.output_dim)
+        in_flight = [pools[0].submitted - k if pools else 1
+                     for k, _ in enumerate(embed_blocks(points, fmap))]
+        assert in_flight == [min(cpus, 8 - k) for k in range(8)]
+        assert [pool._max_workers for pool in pools] == ([cpus] if cpus > 1 else [])
+
+    def test_one_block_builds_no_pool(self, monkeypatch, pools):
+        monkeypatch.setattr(rffkd.features, "_usable_cpus", lambda: 4)
+        points, fmap = block_case(Variant.COS_SIN, BLOCK_ROWS)
+        use_small_blocks(monkeypatch, fmap.spec.output_dim)
+        assert len(list(embed_blocks(points, fmap))) == 1
+        embed(points, fmap)
+        assert pools == []
+
+    def test_closing_early_stops_the_pool(self, monkeypatch):
+        monkeypatch.setattr(rffkd.features, "_usable_cpus", lambda: 4)
+        points, fmap = block_case(Variant.COS_SIN, 8 * BLOCK_ROWS)
+        use_small_blocks(monkeypatch, fmap.spec.output_dim)
+        baseline = threading.active_count()
+        blocks = embed_blocks(points, fmap)
+        next(blocks)
+        assert threading.active_count() > baseline  # the pool is up
+        blocks.close()
+        assert threading.active_count() == baseline
+
+    def test_error_in_block_two_after_block_one(self, monkeypatch, cpus):
+        points, fmap = block_case(Variant.COS_SIN, 4 * BLOCK_ROWS)
+        whole = whole_matrix_features(points, fmap)
+        use_small_blocks(monkeypatch, fmap.spec.output_dim)
+        ranks = block_ranks(points, fmap)
+        trig = rffkd.features._trig_rows
+
+        def failing_trig(proj, fmap, out):
+            if ranks[proj[0, 0]] == 1:
+                raise RuntimeError("cos/sin failed on block 2")
+            return trig(proj, fmap, out)
+
+        monkeypatch.setattr(rffkd.features, "_trig_rows", failing_trig)
+        baseline = threading.active_count()
+        blocks = embed_blocks(points, fmap)
+        assert next(blocks).tobytes() == whole[:BLOCK_ROWS].tobytes()
+        with pytest.raises(RuntimeError, match="block 2"):
+            next(blocks)
+        assert threading.active_count() == baseline
 
 
 class TestProjections:

@@ -270,5 +270,13 @@ class TestDispatch:
         with pytest.raises(ValueError, match="header"):
             read_matrix(path, fmt="raw-f64", header=True)
 
+    def test_raw_header_rejected_on_write(self):
+        """The writer's twin: raw-f64 has no header row to write, so header=True
+        is refused before any byte is written."""
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match="header"):
+            write_matrix(buf, [[1.0, 2.0]], fmt="raw-f64", header=True)
+        assert buf.getvalue() == b""
+
     def test_format_error_is_value_error(self):
         assert issubclass(MatrixFormatError, ValueError)
