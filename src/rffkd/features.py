@@ -120,9 +120,18 @@ def sample_map(spec: FeatureMapSpec, dim: int) -> FeatureMap:
 
 # Output bytes per row block of embed and embed_blocks.  Features of a point
 # depend only on that point and the map, so blocks change nothing but peak
-# memory, which is about w + 1 blocks of output and projection for w usable
-# CPUs (see _pipeline).
+# memory, which is about _IN_FLIGHT + 1 blocks of output and projection (see
+# _pipeline).
 BLOCK_BYTES = 2 * 1024 * 1024
+# Blocks whose cos/sin the pipeline's pool runs at once, whatever the CPU
+# count, so that memory does not grow with the machine.
+_IN_FLIGHT = 2
+# Fewest blocks for which the pool is used: below this its start and its fill
+# and drain cost about what it saves.  Timed from spawn to exit, `rffkd embed`
+# of 256-d points at t = 800 to raw-f64 ran pooled against serial at +11% with
+# 3 blocks, within 4% of it with 4 to 10 and 5 to 17% faster with 12 to 32
+# (median of 30 paired runs each, 2-vCPU Xeon, one OpenBLAS thread).
+_POOL_MIN_BLOCKS = 12
 
 
 def _row_blocks(n: int, output_dim: int):
@@ -172,33 +181,33 @@ def _pipeline(points: PointSet, fmap: FeatureMap, out: np.ndarray | None = None)
     """Feature row blocks of points, in order: views of out, or fresh arrays.
 
     The calling thread computes each block's projection matmul; cos/sin and
-    the scaling, which numpy runs on one thread, go to a pool of one thread
-    per usable CPU (w).  At most w blocks are in flight: once w are pending,
-    the oldest is yielded before the next is submitted, so whatever consumes
-    the blocks overlaps the pool's work on later ones.  Each block goes
-    through the same calls on the same rows as in the serial loop, so the
-    bytes are the same.  The matmul stays on the calling thread because on
-    the pool it would contend with BLAS's own threads.
+    the scaling, which numpy runs on one thread, go to a pool of _IN_FLIGHT
+    threads.  Once _IN_FLIGHT blocks are pending, the oldest is yielded before
+    the next is submitted, so whatever consumes the blocks overlaps the pool's
+    work on later ones.  Each block goes through the same calls on the same
+    rows as in the serial loop, so the bytes are the same.  The matmul stays
+    on the calling thread because on the pool it would contend with BLAS's
+    own threads.  With one usable CPU, or fewer than _POOL_MIN_BLOCKS blocks,
+    the serial loop runs and no pool is built.
     """
     data, dim = points.data, fmap.spec.output_dim
     blocks = list(_row_blocks(points.n, dim))
-    workers = _usable_cpus()
 
     def job(start, stop):
         """_trig_rows' arguments for one block, its matmul done."""
         dest = np.empty((stop - start, dim)) if out is None else out[start:stop]
         return data[start:stop] @ fmap.frequencies.T, fmap, dest
 
-    if workers == 1 or len(blocks) == 1:
+    if len(blocks) < _POOL_MIN_BLOCKS or _usable_cpus() == 1:
         for start, stop in blocks:
             yield _trig_rows(*job(start, stop))
         return
     from concurrent.futures import ThreadPoolExecutor
 
     pending = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=_IN_FLIGHT) as pool:
         for start, stop in blocks:
-            if len(pending) == workers:
+            if len(pending) == _IN_FLIGHT:
                 yield pending.pop(0).result()
             pending.append(pool.submit(_trig_rows, *job(start, stop)))
         while pending:

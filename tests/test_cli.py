@@ -208,7 +208,7 @@ class TestEmbedStreaming:
         assert rc == 0 and err == ""
         assert dest.read_bytes() == whole.read_bytes()
 
-    @pytest.mark.parametrize("cpus", [1, 4], ids=["1cpu", "4cpus"])
+    @pytest.mark.parametrize("cpus", [1, 64], ids=["1cpu", "64cpus"])
     @pytest.mark.parametrize("fmt", ["csv", "raw-f64"])
     @pytest.mark.parametrize("variant", [v.value for v in Variant])
     @pytest.mark.parametrize(
@@ -217,8 +217,10 @@ class TestEmbedStreaming:
     def test_output_bytes_on_either_path(
         self, tmp_path, capsys, monkeypatch, cpus, fmt, variant, n
     ):
-        """The same bytes from the serial loop (1 CPU) and the thread pool (4)."""
+        """The same bytes from the serial loop (1 CPU) and the thread pool (64),
+        which here takes any input of two blocks or more."""
         monkeypatch.setattr(rffkd.features, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(rffkd.features, "_POOL_MIN_BLOCKS", 2)
         self.test_output_bytes_equal_whole_matrix(tmp_path, capsys, monkeypatch, fmt, variant, n)
 
     def test_memory_bounded_by_blocks_not_output(self, tmp_path):
@@ -239,6 +241,13 @@ class TestEmbedStreaming:
         assert dest.stat().st_size == 12 + 8 * 20000 * 800
         dest.unlink()
         assert peak <= 4 * rffkd.features.BLOCK_BYTES + 3 * pts.nbytes
+
+    def test_memory_bounded_on_many_cpus(self, tmp_path, monkeypatch):
+        """The same bound when the pipeline sees 64 CPUs: its 61 blocks take
+        the pool, whose blocks in flight do not grow with the CPU count."""
+        monkeypatch.setattr(rffkd.features, "_usable_cpus", lambda: 64)
+        assert len(list(rffkd.features._row_blocks(20000, 800))) >= rffkd.features._POOL_MIN_BLOCKS
+        self.test_memory_bounded_by_blocks_not_output(tmp_path)
 
 
 class TestGen:

@@ -424,10 +424,17 @@ class TestEmbedBlocks:
             embed_blocks(PointSet(np.zeros((1, 3))), sample_map(cossin_spec(), 4))
 
 
-@pytest.fixture(params=[1, 4], ids=["1cpu", "4cpus"])
+def take_pool(monkeypatch, cpus=64):
+    """The pipeline sees cpus usable CPUs and pools any input of two blocks or
+    more, so that the small inputs here reach the pool when cpus > 1."""
+    monkeypatch.setattr(rffkd.features, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(rffkd.features, "_POOL_MIN_BLOCKS", 2)
+
+
+@pytest.fixture(params=[1, 64], ids=["1cpu", "64cpus"])
 def cpus(request, monkeypatch):
-    """The usable CPU count the pipeline sees: 1 takes the serial loop, 4 the pool."""
-    monkeypatch.setattr(rffkd.features, "_usable_cpus", lambda: request.param)
+    """The usable CPU count the pipeline sees: 1 takes the serial loop, 64 the pool."""
+    take_pool(monkeypatch, request.param)
     return request.param
 
 
@@ -498,18 +505,36 @@ class TestEmbedPipeline:
         assert np.vstack(list(embed_blocks(points, fmap))).tobytes() == whole
         assert embed(points, fmap).features.tobytes() == whole
 
-    def test_at_most_w_blocks_in_flight(self, monkeypatch, cpus, pools):
-        """A pool of w threads exactly when w > 1, and w blocks submitted
-        ahead of the one being consumed, never more."""
+    def test_at_most_two_blocks_in_flight(self, monkeypatch, cpus, pools):
+        """On many CPUs, a pool of _IN_FLIGHT = 2 threads and two blocks
+        submitted ahead of the one being consumed, never more; on one CPU no
+        pool."""
         points, fmap = block_case(Variant.COS_SIN, 8 * BLOCK_ROWS)
         use_small_blocks(monkeypatch, fmap.spec.output_dim)
         in_flight = [pools[0].submitted - k if pools else 1
                      for k, _ in enumerate(embed_blocks(points, fmap))]
-        assert in_flight == [min(cpus, 8 - k) for k in range(8)]
-        assert [pool._max_workers for pool in pools] == ([cpus] if cpus > 1 else [])
+        depth = rffkd.features._IN_FLIGHT if cpus > 1 else 1
+        assert depth <= 2
+        assert in_flight == [min(depth, 8 - k) for k in range(8)]
+        assert [pool._max_workers for pool in pools] == ([depth] if cpus > 1 else [])
+
+    @pytest.mark.parametrize("cpus, short, pooled", [(64, 1, False), (1, 0, False), (64, 0, True)])
+    def test_pool_only_from_threshold_blocks(self, monkeypatch, pools, cpus, short, pooled):
+        """At the default threshold: fewer than _POOL_MIN_BLOCKS blocks, or
+        one CPU, run the serial loop; the bytes are the same either way."""
+        monkeypatch.setattr(rffkd.features, "_usable_cpus", lambda: cpus)
+        blocks = rffkd.features._POOL_MIN_BLOCKS - short
+        points, fmap = block_case(Variant.COS_SIN, blocks * BLOCK_ROWS)
+        whole = whole_matrix_features(points, fmap).tobytes()
+        use_small_blocks(monkeypatch, fmap.spec.output_dim)
+        got = list(embed_blocks(points, fmap))
+        assert len(got) == blocks
+        assert np.vstack(got).tobytes() == whole
+        assert embed(points, fmap).features.tobytes() == whole
+        assert len(pools) == (2 if pooled else 0)
 
     def test_one_block_builds_no_pool(self, monkeypatch, pools):
-        monkeypatch.setattr(rffkd.features, "_usable_cpus", lambda: 4)
+        take_pool(monkeypatch)
         points, fmap = block_case(Variant.COS_SIN, BLOCK_ROWS)
         use_small_blocks(monkeypatch, fmap.spec.output_dim)
         assert len(list(embed_blocks(points, fmap))) == 1
@@ -517,7 +542,7 @@ class TestEmbedPipeline:
         assert pools == []
 
     def test_closing_early_stops_the_pool(self, monkeypatch):
-        monkeypatch.setattr(rffkd.features, "_usable_cpus", lambda: 4)
+        take_pool(monkeypatch)
         points, fmap = block_case(Variant.COS_SIN, 8 * BLOCK_ROWS)
         use_small_blocks(monkeypatch, fmap.spec.output_dim)
         baseline = threading.active_count()
