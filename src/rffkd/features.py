@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._checks import integer
+from ._pool import WORKERS, in_order
 from .kernel import Bandwidth, PointSet, ScaledDiff, _nonnegative, _scalar_or_array
 from .streams import check_seed, row_generators
 
@@ -120,12 +120,9 @@ def sample_map(spec: FeatureMapSpec, dim: int) -> FeatureMap:
 
 # Output bytes per row block of embed and embed_blocks.  Features of a point
 # depend only on that point and the map, so blocks change nothing but peak
-# memory, which is about _IN_FLIGHT + 1 blocks of output and projection (see
+# memory, which is about WORKERS + 1 blocks of output and projection (see
 # _pipeline).
 BLOCK_BYTES = 2 * 1024 * 1024
-# Blocks whose cos/sin the pipeline's pool runs at once, whatever the CPU
-# count, so that memory does not grow with the machine.
-_IN_FLIGHT = 2
 # Fewest blocks for which the pool is used: below this its start and its fill
 # and drain cost about what it saves.  Timed from spawn to exit, `rffkd embed`
 # of 256-d points at t = 800 to raw-f64 ran pooled against serial at +11% with
@@ -164,14 +161,6 @@ def _trig_rows(proj: np.ndarray, fmap: FeatureMap, out: np.ndarray) -> np.ndarra
     return out
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 def _check_dims(points: PointSet, fmap: FeatureMap) -> None:
     if points.dim != fmap.dim:
         raise ValueError(f"dimension mismatch: points have dim {points.dim}, map has dim {fmap.dim}")
@@ -180,38 +169,23 @@ def _check_dims(points: PointSet, fmap: FeatureMap) -> None:
 def _pipeline(points: PointSet, fmap: FeatureMap, out: np.ndarray | None = None):
     """Feature row blocks of points, in order: views of out, or fresh arrays.
 
-    The calling thread computes each block's projection matmul; cos/sin and
-    the scaling, which numpy runs on one thread, go to a pool of _IN_FLIGHT
-    threads.  Once _IN_FLIGHT blocks are pending, the oldest is yielded before
-    the next is submitted, so whatever consumes the blocks overlaps the pool's
-    work on later ones.  Each block goes through the same calls on the same
-    rows as in the serial loop, so the bytes are the same.  The matmul stays
-    on the calling thread because on the pool it would contend with BLAS's
-    own threads.  With one usable CPU, or fewer than _POOL_MIN_BLOCKS blocks,
-    the serial loop runs and no pool is built.
+    The calling thread computes each block's projection matmul as the block is
+    drawn; cos/sin and the scaling, which numpy runs on one thread, go to the
+    package's pool, WORKERS blocks ahead of the one being consumed.  The matmul
+    stays on the calling thread because on the pool it would contend with
+    BLAS's own threads.  Every block goes through the same calls on the same
+    rows either way, so the bytes are the same; with fewer than
+    _POOL_MIN_BLOCKS blocks no pool is built.
     """
     data, dim = points.data, fmap.spec.output_dim
     blocks = list(_row_blocks(points.n, dim))
 
-    def job(start, stop):
-        """_trig_rows' arguments for one block, its matmul done."""
-        dest = np.empty((stop - start, dim)) if out is None else out[start:stop]
-        return data[start:stop] @ fmap.frequencies.T, fmap, dest
-
-    if len(blocks) < _POOL_MIN_BLOCKS or _usable_cpus() == 1:
+    def jobs():
         for start, stop in blocks:
-            yield _trig_rows(*job(start, stop))
-        return
-    from concurrent.futures import ThreadPoolExecutor
+            dest = np.empty((stop - start, dim)) if out is None else out[start:stop]
+            yield _trig_rows, data[start:stop] @ fmap.frequencies.T, fmap, dest
 
-    pending = []
-    with ThreadPoolExecutor(max_workers=_IN_FLIGHT) as pool:
-        for start, stop in blocks:
-            if len(pending) == _IN_FLIGHT:
-                yield pending.pop(0).result()
-            pending.append(pool.submit(_trig_rows, *job(start, stop)))
-        while pending:
-            yield pending.pop(0).result()
+    return in_order(jobs(), WORKERS if len(blocks) >= _POOL_MIN_BLOCKS else 0)
 
 
 def embed(points: PointSet, fmap: FeatureMap) -> Embedding:

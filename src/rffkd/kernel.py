@@ -44,7 +44,7 @@ class ScaledDiff:
     """Bandwidth-scaled difference delta = (x - y) / sigma with its cached norm."""
 
     delta: np.ndarray
-    norm: float = field(default=None)  # type: ignore[assignment]
+    norm: float = field(init=False)
 
     def __post_init__(self) -> None:
         vec = np.asarray(self.delta, dtype=np.float64)

@@ -1,7 +1,7 @@
 """Matrix file I/O: CSV and a raw little-endian float64 format.
 
-CSV uses '.' decimals, comma separators, no header unless asked for, and
-17 significant digits so doubles survive a write/read round trip exactly.
+CSV uses '.' decimals, comma separators, no header row (the reader can skip
+one) and 17 significant digits, so doubles survive a round trip exactly.
 
 The raw format is: magic "RFFM", then row count and column count as
 little-endian uint32, then the n*d float64 payload little-endian in
@@ -76,11 +76,9 @@ def _opened(src, mode: str):
         yield src
 
 
-def _write_csv_blocks(dest, blocks, shape, header: bool) -> None:
+def _write_csv_blocks(dest, blocks, shape) -> None:
     n, d = shape
     with _opened(dest, "w") as out:
-        if header:
-            out.write(",".join(f"c{j}" for j in range(d)) + "\n")
         # One row at a time: a whole-block tolist() would hold every value
         # as a Python float at once.
         fmt = ",".join(["%.17g"] * d) + "\n"
@@ -151,27 +149,25 @@ def _read_raw(src) -> np.ndarray:
     return np.frombuffer(buf, dtype="<f8", offset=_HEADER.size).reshape(n, d)
 
 
-def write_matrix(dest, data, fmt: str = "csv", header: bool = False) -> None:
-    """Write a matrix in the named format ("csv" or "raw-f64"); header is for CSV only."""
+def write_matrix(dest, data, fmt: str = "csv") -> None:
+    """Write a matrix in the named format ("csv" or "raw-f64")."""
     arr = _check_matrix(data)
-    write_blocks(dest, [arr], arr.shape, fmt=fmt, header=header)
+    write_blocks(dest, [arr], arr.shape, fmt=fmt)
 
 
-def write_blocks(dest, blocks, shape, fmt: str = "csv", header: bool = False) -> None:
+def write_blocks(dest, blocks, shape, fmt: str = "csv") -> None:
     """Write an n x d matrix, given as an iterable of row blocks, in the named format.
 
     Blocks are consumed one at a time, so only the block being written needs
     to be in memory.  ValueError if the blocks do not stack into exactly the
-    declared shape (n, d), if it is empty, or if header is asked of raw-f64.
+    declared shape (n, d) or if it is empty.
     """
     n, d = (int(v) for v in shape)
     if n < 1 or d < 1:
         raise ValueError(f"expected a non-empty 2-d matrix, got shape {tuple(shape)}")
     if fmt == "csv":
-        _write_csv_blocks(dest, blocks, (n, d), header)
+        _write_csv_blocks(dest, blocks, (n, d))
     elif fmt == "raw-f64":
-        if header:
-            raise ValueError("header applies only to csv output, not raw-f64")
         _write_raw_blocks(dest, blocks, (n, d))
     else:
         raise ValueError(f"unknown matrix format {fmt!r}; choose from {FORMATS}")

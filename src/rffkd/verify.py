@@ -23,8 +23,16 @@ from typing import Sequence
 import numpy as np
 
 from ._checks import integer, real
-from .features import FeatureMap, projected_frequencies, sq_distance_from_projections
-from .kernel import ScaledDiff, kernel_from_scaled_norm, sq_distance_from_scaled_norm
+from ._pool import in_order
+from .features import (
+    FeatureMap,
+    FeatureMapSpec,
+    Variant,
+    projected_frequencies,
+    sample_map,
+    sq_distance_from_projections,
+)
+from .kernel import Bandwidth, ScaledDiff, kernel_from_scaled_norm, sq_distance_from_scaled_norm
 from .planner import plan_per_pair
 from .streams import check_seed, derive_seed, generator as _generator
 
@@ -308,15 +316,9 @@ def run_battery(seed: int, samples: int = 1_000_000) -> list[VerifyReport]:
     """Run every check at its reference setting; order is stable.
 
     The checks are independent and spend their time in numpy calls that
-    release the GIL, so they run on a thread pool sized to the CPUs this
-    process may use.  Results are read in submission order, so the reports,
-    and any exception a check raises, are those of running them one by one.
+    release the GIL, so they run on the package's pool; the reports, and
+    any exception a check raises, are those of running them one by one.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    from .features import FeatureMapSpec, Variant, _usable_cpus, sample_map
-    from .kernel import Bandwidth
-
     seed = check_seed(seed)
     samples = integer("samples", samples, minimum=2)
     sigma = Bandwidth(1.0)
@@ -337,6 +339,4 @@ def run_battery(seed: int, samples: int = 1_000_000) -> list[VerifyReport]:
         (check_scale_sweep, 0.2, 0.1, derive_seed(seed, 10)),
         (check_tail_bound, 0.5, 0.25, 0.1, 1000, derive_seed(seed, 11)),
     ]
-    with ThreadPoolExecutor(max_workers=min(len(checks), _usable_cpus())) as pool:
-        futures = [pool.submit(fn, *args) for fn, *args in checks]
-        return [f.result() for f in futures]
+    return list(in_order(checks, len(checks)))

@@ -215,12 +215,11 @@ class TestEmbedStreaming:
         "n", [1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
     )
     def test_output_bytes_on_either_path(
-        self, tmp_path, capsys, monkeypatch, cpus, fmt, variant, n
+        self, tmp_path, capsys, monkeypatch, take_pool, cpus, fmt, variant, n
     ):
-        """The same bytes from the serial loop (1 CPU) and the thread pool (64),
-        which here takes any input of two blocks or more."""
-        monkeypatch.setattr(rffkd.features, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(rffkd.features, "_POOL_MIN_BLOCKS", 2)
+        """The same bytes from the serial loop (1 CPU reported) and the thread
+        pool (64), which here takes any input of two blocks or more."""
+        take_pool(cpus)
         self.test_output_bytes_equal_whole_matrix(tmp_path, capsys, monkeypatch, fmt, variant, n)
 
     def test_memory_bounded_by_blocks_not_output(self, tmp_path):
@@ -242,10 +241,10 @@ class TestEmbedStreaming:
         dest.unlink()
         assert peak <= 4 * rffkd.features.BLOCK_BYTES + 3 * pts.nbytes
 
-    def test_memory_bounded_on_many_cpus(self, tmp_path, monkeypatch):
-        """The same bound when the pipeline sees 64 CPUs: its 61 blocks take
+    def test_memory_bounded_on_many_cpus(self, tmp_path, report_cpus):
+        """The same bound when the process reports 64 CPUs: its 61 blocks take
         the pool, whose blocks in flight do not grow with the CPU count."""
-        monkeypatch.setattr(rffkd.features, "_usable_cpus", lambda: 64)
+        report_cpus(64)
         assert len(list(rffkd.features._row_blocks(20000, 800))) >= rffkd.features._POOL_MIN_BLOCKS
         self.test_memory_bounded_by_blocks_not_output(tmp_path)
 

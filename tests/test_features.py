@@ -30,6 +30,7 @@ from rffkd import (
     sq_distance_from_scaled_norm,
 )
 import rffkd.features
+from rffkd._pool import WORKERS
 from rffkd.features import embed_blocks
 from rffkd.streams import check_seed, derive_seed, generator, row_generator
 
@@ -424,17 +425,11 @@ class TestEmbedBlocks:
             embed_blocks(PointSet(np.zeros((1, 3))), sample_map(cossin_spec(), 4))
 
 
-def take_pool(monkeypatch, cpus=64):
-    """The pipeline sees cpus usable CPUs and pools any input of two blocks or
-    more, so that the small inputs here reach the pool when cpus > 1."""
-    monkeypatch.setattr(rffkd.features, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(rffkd.features, "_POOL_MIN_BLOCKS", 2)
-
-
 @pytest.fixture(params=[1, 64], ids=["1cpu", "64cpus"])
-def cpus(request, monkeypatch):
-    """The usable CPU count the pipeline sees: 1 takes the serial loop, 64 the pool."""
-    take_pool(monkeypatch, request.param)
+def cpus(request, take_pool):
+    """The usable CPU count the process reports: 1 with the serial loop, 64
+    with the pool."""
+    take_pool(request.param)
     return request.param
 
 
@@ -465,7 +460,7 @@ def block_ranks(points, fmap):
 
 
 class TestEmbedPipeline:
-    """The block pipeline on one CPU (serial loop) and on four (thread pool)."""
+    """The block pipeline on its serial loop and on the thread pool."""
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("n", BOUNDARY_NS)
@@ -506,23 +501,26 @@ class TestEmbedPipeline:
         assert embed(points, fmap).features.tobytes() == whole
 
     def test_at_most_two_blocks_in_flight(self, monkeypatch, cpus, pools):
-        """On many CPUs, a pool of _IN_FLIGHT = 2 threads and two blocks
-        submitted ahead of the one being consumed, never more; on one CPU no
-        pool."""
+        """On the pool, WORKERS = 2 threads and two blocks submitted ahead of
+        the one being consumed, never more, with 64 CPUs reported; on the
+        serial loop no pool."""
         points, fmap = block_case(Variant.COS_SIN, 8 * BLOCK_ROWS)
         use_small_blocks(monkeypatch, fmap.spec.output_dim)
         in_flight = [pools[0].submitted - k if pools else 1
                      for k, _ in enumerate(embed_blocks(points, fmap))]
-        depth = rffkd.features._IN_FLIGHT if cpus > 1 else 1
+        depth = WORKERS if cpus > 1 else 1
         assert depth <= 2
         assert in_flight == [min(depth, 8 - k) for k in range(8)]
         assert [pool._max_workers for pool in pools] == ([depth] if cpus > 1 else [])
 
-    @pytest.mark.parametrize("cpus, short, pooled", [(64, 1, False), (1, 0, False), (64, 0, True)])
-    def test_pool_only_from_threshold_blocks(self, monkeypatch, pools, cpus, short, pooled):
-        """At the default threshold: fewer than _POOL_MIN_BLOCKS blocks, or
-        one CPU, run the serial loop; the bytes are the same either way."""
-        monkeypatch.setattr(rffkd.features, "_usable_cpus", lambda: cpus)
+    @pytest.mark.parametrize("cpus, short, pooled", [(64, 1, False), (64, 0, True)])
+    def test_pool_only_from_threshold_blocks(
+        self, monkeypatch, report_cpus, pools, cpus, short, pooled
+    ):
+        """At the default threshold, with 64 CPUs reported: fewer than
+        _POOL_MIN_BLOCKS blocks run the serial loop; the bytes are the same
+        either way."""
+        report_cpus(cpus)
         blocks = rffkd.features._POOL_MIN_BLOCKS - short
         points, fmap = block_case(Variant.COS_SIN, blocks * BLOCK_ROWS)
         whole = whole_matrix_features(points, fmap).tobytes()
@@ -533,16 +531,16 @@ class TestEmbedPipeline:
         assert embed(points, fmap).features.tobytes() == whole
         assert len(pools) == (2 if pooled else 0)
 
-    def test_one_block_builds_no_pool(self, monkeypatch, pools):
-        take_pool(monkeypatch)
+    def test_one_block_builds_no_pool(self, monkeypatch, take_pool, pools):
+        take_pool()
         points, fmap = block_case(Variant.COS_SIN, BLOCK_ROWS)
         use_small_blocks(monkeypatch, fmap.spec.output_dim)
         assert len(list(embed_blocks(points, fmap))) == 1
         embed(points, fmap)
         assert pools == []
 
-    def test_closing_early_stops_the_pool(self, monkeypatch):
-        take_pool(monkeypatch)
+    def test_closing_early_stops_the_pool(self, monkeypatch, take_pool):
+        take_pool()
         points, fmap = block_case(Variant.COS_SIN, 8 * BLOCK_ROWS)
         use_small_blocks(monkeypatch, fmap.spec.output_dim)
         baseline = threading.active_count()

@@ -206,6 +206,11 @@ class TestScaledDiff:
         with pytest.raises(ValueError):
             ScaledDiff(np.array([np.inf]))
 
+    def test_norm_is_not_an_argument(self):
+        """The norm is computed from delta; a norm passed in is refused, not ignored."""
+        with pytest.raises(TypeError, match="norm"):
+            ScaledDiff(np.array([3.0, 4.0]), norm=99.0)
+
 
 class TestPointSet:
     def test_shape_properties(self):

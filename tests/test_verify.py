@@ -9,7 +9,6 @@ ratio, which needs no Monte Carlo allowance at all.
 
 import concurrent.futures
 import math
-import os
 import re
 import threading
 import tracemalloc
@@ -363,11 +362,11 @@ class TestBattery:
 
     def test_memory_bound(self):
         """Peak traced memory stays within w + 1 arrays of samples plus 1 MB:
-        at most w = min(pool size, 7) array-holding checks run at once, one
-        array each, and the CosShift check holds a second for its phases."""
+        at most w = 2 array-holding checks run at once on the pool's two
+        threads, one array each, and the CosShift check holds a second for its
+        phases."""
         samples = 1_000_000
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        w = min(cpus, 7)
+        w = 2
         run_battery(0, samples=2_000)  # lazy imports stay outside the traced peak
         tracemalloc.start()
         try:
@@ -376,6 +375,29 @@ class TestBattery:
         finally:
             tracemalloc.stop()
         assert peak <= (w + 1) * 8 * samples + 2**20
+
+    def test_pool_does_not_grow_with_cpus(self, monkeypatch, report_cpus):
+        """With 64 CPUs reported, one pool of two threads, and the memory
+        bound of two checks at once."""
+        made = []
+
+        class RecordedPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers=max_workers)
+                made.append(max_workers)
+
+        samples = 1_000_000
+        run_battery(0, samples=2_000)  # lazy imports stay outside the traced peak
+        report_cpus(64)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordedPool)
+        tracemalloc.start()
+        try:
+            run_battery(0, samples=samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert made == [2]
+        assert peak <= 3 * 8 * samples + 2**20
 
     def test_pass_rule_consistency(self):
         """Every report's flag is reproducible from its own fields."""
