@@ -85,8 +85,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rffkd",
         description="Random Fourier feature embeddings with guarantees on Gaussian kernel distances.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    parser.add_argument("--sigma", type=float, default=1.0, help="kernel bandwidth (default 1.0)")
+    parser.add_argument(
+        "--seed", type=int, default=None, help="base seed, for all but dims (default 0)"
+    )
+    parser.add_argument(
+        "--sigma",
+        type=float,
+        default=None,
+        help="kernel bandwidth, for embed, kpca, pairs and gen --kind grid (default 1.0)",
+    )
     parser.add_argument(
         "--t", type=int, default=None, help="feature pairs / features, embed only (default 64)"
     )
@@ -168,13 +175,21 @@ def _variant(args) -> Variant:
     return Variant.COS_SIN if args.variant is None else Variant(args.variant)
 
 
+def _sigma(args) -> Bandwidth:
+    return Bandwidth(1.0 if args.sigma is None else args.sigma)
+
+
+def _seed(args) -> int:
+    return 0 if args.seed is None else args.seed
+
+
 def _cmd_embed(args) -> int:
     points = _read_input_matrix(args)
     spec = FeatureMapSpec(
         variant=_variant(args),
-        sigma=Bandwidth(args.sigma),
+        sigma=_sigma(args),
         size=64 if args.t is None else args.t,
-        seed=args.seed,
+        seed=_seed(args),
     )
     # a few blocks of output in memory at a time, whatever n * output_dim is
     blocks = embed_blocks(points, sample_map(spec, points.dim))
@@ -226,14 +241,14 @@ def _cmd_kpca(args) -> int:
     if args.input is not None:
         points = _read_input_matrix(args)
     else:
-        points = synth_dataset(args.synth_n, args.synth_dim, args.synth_clusters, args.seed)
+        points = synth_dataset(args.synth_n, args.synth_dim, args.synth_clusters, _seed(args))
     reports = kpca_experiment(
         points,
-        Bandwidth(args.sigma),
+        _sigma(args),
         args.k,
         _parse_t_list(args.t_list),
         args.trials,
-        args.seed,
+        _seed(args),
         variant=_variant(args),
     )
     columns = ["sigma", "t", "k", "R_exact", "R_approx", "rel_err"]
@@ -249,9 +264,9 @@ def _cmd_pairs(args) -> int:
         ball_radius=args.ball_radius,
         dist_min=args.dist_min,
         dist_max=args.dist_max,
-        sigma=Bandwidth(args.sigma),
+        sigma=_sigma(args),
         t_list=_parse_t_list(args.t_list),
-        seed=args.seed,
+        seed=_seed(args),
         variant=_variant(args),
     )
     reports = pairs_experiment(cfg, dim=args.dim)
@@ -267,7 +282,7 @@ def _cmd_pairs(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    reports = run_battery(args.seed, samples=args.samples)
+    reports = run_battery(_seed(args), samples=args.samples)
     columns = ["name", "samples", "statistic", "bound", "std_err", "passed"]
     rows = [
         [r.check_name, r.samples, r.statistic, r.bound, r.std_err, r.passed] for r in reports
@@ -277,8 +292,16 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-# The gen flags that only one kind reads; the other kind refuses them.
-_GEN_KIND_OF_FLAG = {"n": "synth", "clusters": "synth", "diameter": "grid", "epsilon": "grid"}
+# The gen flags, global ones included, that only one kind reads; the other
+# kind refuses them.
+_GEN_KIND_OF_FLAG = {
+    "n": "synth",
+    "clusters": "synth",
+    "diameter": "grid",
+    "epsilon": "grid",
+    "sigma": "grid",
+    "seed": "synth",
+}
 
 
 def _cmd_gen(args) -> int:
@@ -289,19 +312,27 @@ def _cmd_gen(args) -> int:
         n = 2000 if args.n is None else args.n
         dim = 256 if args.dim is None else args.dim
         clusters = 10 if args.clusters is None else args.clusters
-        points = synth_dataset(n, dim, clusters, args.seed)
+        points = synth_dataset(n, dim, clusters, _seed(args))
     else:
         if args.diameter is None:
             raise ValueError("--diameter is required for --kind grid")
         dim = 2 if args.dim is None else args.dim
         epsilon = 0.25 if args.epsilon is None else args.epsilon
-        points = gen_grid_stress(dim, args.diameter, Bandwidth(args.sigma), epsilon)
+        points = gen_grid_stress(dim, args.diameter, _sigma(args), epsilon)
     _write_matrix_output(args, [points.data], points.data.shape)
     return 0
 
 
 # The global flags that only some subcommands read; the others refuse them.
-_COMMANDS_OF_FLAG = {"t": ("embed",), "variant": ("embed", "kpca", "pairs")}
+# verify accepts --sigma, which it does not read, because the benchmark's
+# verify workload passes it; gen checks its own kinds (_GEN_KIND_OF_FLAG).
+_ALL_BUT_DIMS = ("embed", "kpca", "pairs", "verify", "gen")
+_COMMANDS_OF_FLAG = {
+    "t": ("embed",),
+    "variant": ("embed", "kpca", "pairs"),
+    "sigma": _ALL_BUT_DIMS,
+    "seed": _ALL_BUT_DIMS,
+}
 
 
 def main(argv=None) -> int:

@@ -189,12 +189,15 @@ def _pipeline(points: PointSet, fmap: FeatureMap, out: np.ndarray | None = None)
 
 
 def embed(points: PointSet, fmap: FeatureMap) -> Embedding:
-    """Apply the map to every row of points."""
+    """Apply the map to every row of points.
+
+    The features are a fresh array that the caller owns, as embed_blocks'
+    blocks are, so it may work on them in place.
+    """
     _check_dims(points, fmap)
     out = np.empty((points.n, fmap.spec.output_dim))
     for _ in _pipeline(points, fmap, out):
         pass
-    out.setflags(write=False)
     return Embedding(features=out, spec=fmap.spec)
 
 
@@ -237,5 +240,7 @@ def sq_distance_from_projections(proj, scaled_norm: float):
         raise ValueError("projections must have at least one entry")
     r = _nonnegative(scaled_norm)
     half = 0.5 * proj * r[..., np.newaxis] if r.ndim else 0.5 * proj * r
-    s = np.sin(half)
-    return _scalar_or_array(4.0 * np.mean(s * s, axis=-1))
+    # sin^2 in place: one array of the broadcast shape besides proj
+    s = np.sin(half, out=half)
+    s *= s
+    return _scalar_or_array(4.0 * np.mean(s, axis=-1))

@@ -62,13 +62,40 @@ class ScaledDiff:
         return self.delta.shape[0]
 
 
+def _immutable(arr) -> bool:
+    """Whether arr is a read-only, C-contiguous float64 array whose memory no
+    writable array can reach: it owns that memory, or views a bytes object.
+
+    A read-only owner is taken to have been frozen by whoever made it, before
+    any writable view of it was taken.
+    """
+    if not (
+        type(arr) is np.ndarray
+        and arr.dtype == np.float64
+        and arr.flags.c_contiguous
+        and not arr.flags.writeable
+    ):
+        return False
+    if arr.flags.owndata:
+        return True
+    base = arr.base
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return type(base) is bytes
+
+
 class PointSet:
-    """Immutable n x d matrix of points, one row per point."""
+    """Immutable n x d matrix of points, one row per point.
+
+    An input array that nothing can write to, such as the read-only view
+    that read_matrix(..., "raw-f64") returns, is kept as given; anything else
+    is copied, so a later write to the input never changes the set.
+    """
 
     __slots__ = ("data",)
 
     def __init__(self, data) -> None:
-        arr = np.array(data, dtype=np.float64, copy=True)
+        arr = data if _immutable(data) else np.array(data, dtype=np.float64, copy=True)
         if arr.ndim != 2:
             raise ValueError(f"points must form a 2-d array, got ndim={arr.ndim}")
         n, d = arr.shape

@@ -180,12 +180,12 @@ def residual_from_centered(q: np.ndarray, k: int) -> float:
 def approx_residual(points: PointSet, fmap: FeatureMap, k: int) -> float:
     """Tail-energy estimate from one sampled map.
 
-    Embeds the points, centers each embedding column on its mean, and
-    returns the squared residual outside the embedding's own top-k right
+    Embeds the points, centers each embedding column on its mean in place,
+    and returns the squared residual outside the embedding's own top-k right
     singular subspace.
     """
-    emb = embed(points, fmap)
-    q = emb.features - emb.features.mean(axis=0, keepdims=True)
+    q = embed(points, fmap).features
+    q -= q.mean(axis=0, keepdims=True)
     return residual_from_centered(q, k)
 
 

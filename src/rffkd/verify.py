@@ -48,6 +48,10 @@ __all__ = [
     "run_battery",
 ]
 
+# Samples per phase chunk of check_shift_unbiasedness: its phases are drawn
+# into one buffer of this size, so the check holds one array of samples.
+_CHUNK = 1 << 16
+
 # Failure-rate allowance for the scale-sweep check: the guarantee holds with
 # probability 1 - O(delta); the constant behind the O is fixed here.
 SCALE_SWEEP_DELTA_CONSTANT = 3.0
@@ -131,16 +135,21 @@ def check_shift_unbiasedness(delta_norm: float, samples: int, seed: int) -> Veri
     samples = integer("samples", samples, minimum=2)
     gen = _generator(seed)
     vals = gen.standard_normal(samples)
-    # g = 2 pi (1 - u) and 2 cos(w r + g) cos(g), all in place: two arrays of samples
-    g = gen.random(samples)
-    np.subtract(1.0, g, out=g)
-    g *= 2.0 * math.pi
-    vals *= r
-    vals += g
-    np.cos(vals, out=vals)
-    vals *= 2.0
-    vals *= np.cos(g, out=g)
-    del g
+    # g = 2 pi (1 - u) and 2 cos(w r + g) cos(g), all in place: one array of
+    # samples.  The phases come a chunk at a time, in the order that one call
+    # would draw them, into one reused buffer.
+    chunk = np.empty(min(samples, _CHUNK))
+    for start in range(0, samples, _CHUNK):
+        v = vals[start : start + _CHUNK]
+        g = chunk[: v.size]
+        gen.random(out=g)
+        np.subtract(1.0, g, out=g)
+        g *= 2.0 * math.pi
+        v *= r
+        v += g
+        np.cos(v, out=v)
+        v *= 2.0
+        v *= np.cos(g, out=g)
     mean, std = _mean_std_in_place(vals)
     return _two_sided(
         f"shifted_inner_product_unbiased[r={r:g}]",

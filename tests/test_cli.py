@@ -374,7 +374,9 @@ class TestVerify:
 
 
 class TestGlobalFlags:
-    """--t is read by embed alone, --variant by embed, kpca and pairs."""
+    """--t is read by embed alone, --variant by embed, kpca and pairs, and
+    --sigma and --seed by every command but dims (gen takes --sigma for grids
+    and --seed for synth, and verify accepts --sigma without reading it)."""
 
     @pytest.mark.parametrize(
         "flag, argv",
@@ -387,6 +389,8 @@ class TestGlobalFlags:
             ("--variant", "--variant cosshift verify --samples 1000"),
             ("--variant", "--variant cossin dims --regime per-pair --epsilon 0.3 --delta 0.2"),
             ("--variant", "--variant cossin gen --kind synth --n 20 --dim 2"),
+            ("--sigma", "--sigma 5 dims --regime per-pair --epsilon 0.3 --delta 0.2"),
+            ("--seed", "--seed 9 dims --regime per-pair --epsilon 0.3 --delta 0.2"),
         ],
     )
     def test_flag_the_command_ignores_is_error(self, capsys, flag, argv):
@@ -400,6 +404,12 @@ class TestGlobalFlags:
             ("--t 64 --variant cossin", "embed --input {}"),
             ("--variant cossin", "kpca --input {} --k 2 --t-list 8 --trials 1"),
             ("--variant cossin", "pairs --pairs 5 --dim 2 --t-list 8"),
+            ("--seed 0 --sigma 1.0", "embed --input {}"),
+            ("--seed 0 --sigma 1.0", "kpca --input {} --k 2 --t-list 8 --trials 1"),
+            ("--seed 0 --sigma 1.0", "pairs --pairs 5 --dim 2 --t-list 8"),
+            ("--seed 0", "verify --samples 1000"),
+            ("--seed 0", "gen --kind synth --n 5 --dim 2"),
+            ("--sigma 1.0", "gen --kind grid --diameter 3"),
         ],
     )
     def test_defaults_given_explicitly_change_nothing(self, tmp_path, capsys, given, argv):
@@ -407,6 +417,24 @@ class TestGlobalFlags:
         write_matrix(path, np.random.default_rng(0).standard_normal((6, 3)))
         argv = argv.format(path).split()
         assert run_cli(capsys, *given.split(), *argv) == run_cli(capsys, *argv)
+
+
+    def test_verify_accepts_sigma_and_ignores_it(self, capsys):
+        """The battery has no bandwidth; --sigma is accepted, not read."""
+        argv = ["verify", "--samples", "1000"]
+        assert run_cli(capsys, "--sigma", "16.0", *argv) == run_cli(capsys, *argv)
+
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--sigma", "--sigma 5 gen --kind synth --n 5"),
+            ("--seed", "--seed 9 gen --kind grid --diameter 3"),
+        ],
+    )
+    def test_gen_refuses_the_other_kinds_global_flag(self, capsys, flag, argv):
+        rc, out, err = run_cli(capsys, *argv.split())
+        assert rc == 2 and out == ""
+        assert err.startswith(f"rffkd: error: {flag} applies only to --kind ")
 
 
 class TestParser:

@@ -420,6 +420,13 @@ class TestEmbedBlocks:
         assert first.flags.writeable and first.flags.c_contiguous
         assert not np.shares_memory(first, second)
 
+    def test_embed_returns_a_fresh_writable_array(self):
+        """embed's features belong to the caller, who may work on them in place."""
+        points, fmap = block_case(Variant.COS_SIN, 5)
+        first, second = embed(points, fmap).features, embed(points, fmap).features
+        assert first.flags.writeable and first.flags.c_contiguous
+        assert not np.shares_memory(first, second)
+
     def test_dimension_mismatch_rejected_at_call(self):
         with pytest.raises(ValueError, match="mismatch"):
             embed_blocks(PointSet(np.zeros((1, 3))), sample_map(cossin_spec(), 4))
@@ -620,6 +627,22 @@ class TestProjections:
         batch = sq_distance_from_projections(w, rs)
         single = np.array([sq_distance_from_projections(w, float(r)) for r in rs])
         np.testing.assert_allclose(batch, single, rtol=0, atol=0)
+
+    @pytest.mark.parametrize(
+        "shape, r",
+        [((64,), 0.3), ((64,), np.array([1e-6, 0.1, 1.0, 4.0])), ((5, 64), np.linspace(0.1, 3.0, 5))],
+    )
+    def test_in_place_equals_out_of_place_bits(self, shape, r):
+        """sin^2 computed in place gives the bits of the out-of-place formula
+        and leaves the projections as they were."""
+        w = generator(14).standard_normal(shape)
+        before = w.copy()
+        half = 0.5 * w * r[..., np.newaxis] if np.ndim(r) else 0.5 * w * r
+        s = np.sin(half)
+        want = 4.0 * np.mean(s * s, axis=-1)
+        got = sq_distance_from_projections(w, r)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert w.tobytes() == before.tobytes()
 
     def test_ratio_near_one_for_planned_size(self):
         """With t from the plan for (eps, delta) the distance ratio lands in

@@ -6,6 +6,7 @@ so every frozen expectation is checked against an independent evaluation.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from rffkd import (
     kernel_from_scaled_norm,
     sq_distance_from_scaled_norm,
 )
+from rffkd.matrixio import read_matrix, write_matrix
 
 mp.dps = 50
 
@@ -234,3 +236,62 @@ class TestPointSet:
         assert p.data[0, 0] == 1.0
         with pytest.raises(ValueError):
             p.data[0, 0] = 3.0
+
+    def test_raw_read_is_kept_as_given(self, tmp_path):
+        """The read-only view of the bytes read_matrix returns is not copied."""
+        path = tmp_path / "pts.bin"
+        write_matrix(path, np.arange(12.0).reshape(3, 4), fmt="raw-f64")
+        raw = read_matrix(path, fmt="raw-f64")
+        assert np.shares_memory(PointSet(raw).data, raw)
+
+    def test_read_only_owner_is_kept_as_given(self):
+        arr = np.ones((2, 3))
+        arr.setflags(write=False)
+        assert PointSet(arr).data is arr
+
+    def test_read_only_view_of_writable_base_is_copied(self):
+        base = np.ones((2, 2))
+        view = base[:]
+        view.setflags(write=False)
+        p = PointSet(view)
+        base[0, 0] = 7.0
+        assert view[0, 0] == 7.0 and p.data[0, 0] == 1.0
+
+    def test_read_only_view_of_bytearray_is_copied(self):
+        buf = bytearray(np.ones(4).tobytes())
+        view = np.frombuffer(buf).reshape(2, 2)
+        view.setflags(write=False)
+        p = PointSet(view)
+        buf[:8] = np.float64(7.0).tobytes()
+        assert view[0, 0] == 7.0 and p.data[0, 0] == 1.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+            lambda: np.arange(12.0, dtype=np.float32).reshape(3, 4),
+            lambda: np.arange(24.0).reshape(3, 8)[:, ::2],
+        ],
+        ids=["fortran", "float32", "strided"],
+    )
+    def test_read_only_other_layouts_are_copied(self, make):
+        arr = make()
+        arr.setflags(write=False)
+        p = PointSet(arr)
+        assert not np.shares_memory(p.data, arr)
+        assert np.array_equal(p.data, arr)
+
+    def test_raw_read_held_once(self, tmp_path):
+        """A PointSet of raw input holds the payload once, plus the finiteness
+        check's one byte per value."""
+        pts = np.random.default_rng(0).standard_normal((20000, 64))
+        path = tmp_path / "pts.bin"
+        write_matrix(path, pts, fmt="raw-f64")
+        tracemalloc.start()
+        try:
+            p = PointSet(read_matrix(path, fmt="raw-f64"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.n == 20000
+        assert peak <= pts.nbytes * 9 // 8 + 2**17

@@ -4,11 +4,13 @@ pipeline, and the map-versus-exact experiment loop.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from mpmath import mp
 
+import rffkd.features
 from rffkd import (
     Bandwidth,
     FeatureMapSpec,
@@ -16,6 +18,7 @@ from rffkd import (
     PointSet,
     Variant,
     approx_residual,
+    embed,
     center_gram,
     exact_feature_embedding,
     exact_tail_energy,
@@ -305,6 +308,16 @@ class TestApproxResidual:
         want = residual_from_centered(q, 3)
         assert approx_residual(pts, fmap, 3) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_equals_copy_then_centre_bits(self, variant):
+        """Centring the embedding in place gives the bits of centring a copy,
+        on both Gram paths (n <= m for cossin here, n > m for cosshift)."""
+        pts = small_points(40, 4, seed=21)
+        fmap = sample_map(FeatureMapSpec(variant, Bandwidth(1.0), 24, 22), 4)
+        q = embed(pts, fmap).features
+        want = residual_from_centered(q - q.mean(axis=0, keepdims=True), 3)
+        assert approx_residual(pts, fmap, 3) == want
+
     def test_converges_to_exact_tail(self):
         """A large map's residual lands within a few percent of the exact
         tail energy."""
@@ -341,6 +354,24 @@ class TestKpcaExperiment:
         reports = kpca_experiment(pts, Bandwidth(1.0), 1, [8], trials=2, seed=20)
         assert reports[0].r_exact == 0.0
         assert math.isnan(reports[0].rel_err)
+
+    def test_memory_holds_one_embedding(self):
+        """Peak traced memory is one embedding at the largest t, its map and
+        one block, plus a few n x n arrays (the centred Gram, the embedding's
+        Gram product and the eigensolver's copy of it): each embedding is
+        centred in place, not copied."""
+        n, dim, t = 250, 256, 1600
+        pts = synth_dataset(n, dim, 10, seed=23)
+        sigma = Bandwidth(16.0)
+        kpca_experiment(pts, sigma, 2, [8], trials=1, seed=0)  # lazy imports stay outside the peak
+        tracemalloc.start()
+        try:
+            kpca_experiment(pts, sigma, 20, [400, t], trials=2, seed=24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        embedding, fmap = 8 * n * 2 * t, 8 * t * dim
+        assert peak <= embedding + fmap + rffkd.features.BLOCK_BYTES + 4 * 8 * n * n
 
     def test_trials_validated(self):
         pts = small_points()

@@ -148,6 +148,46 @@ class TestShiftUnbiasedness:
         rep = check_shift_unbiasedness(0.5, 1000, seed=0)
         assert rep.check_name.startswith("shifted_inner_product_unbiased")
 
+    @staticmethod
+    def two_array_body(r, samples, seed):
+        """The check's mean and std with every phase drawn at once into a
+        second array of samples, the same operations in the same order."""
+        gen = generator(seed)
+        vals = gen.standard_normal(samples)
+        g = gen.random(samples)
+        np.subtract(1.0, g, out=g)
+        g *= 2.0 * math.pi
+        vals *= r
+        vals += g
+        np.cos(vals, out=vals)
+        vals *= 2.0
+        vals *= np.cos(g, out=g)
+        return verify._mean_std_in_place(vals)
+
+    @pytest.mark.parametrize("r", [0.0, 1.0, 3.0])
+    @pytest.mark.parametrize(
+        "samples",
+        [2, verify._CHUNK - 1, verify._CHUNK, verify._CHUNK + 1, 2 * verify._CHUNK + 3],
+    )
+    def test_chunked_phases_equal_two_array_body(self, samples, r):
+        """Phases drawn a chunk at a time give the report bits of drawing them
+        all at once, around the chunk edges."""
+        mean, std = self.two_array_body(r, samples, seed=7)
+        rep = check_shift_unbiasedness(r, samples, 7)
+        assert (rep.statistic, rep.std_err) == (mean, std / math.sqrt(samples))
+
+    def test_memory_one_array_plus_chunk(self):
+        """The check holds its array of samples and one phase chunk."""
+        samples = 1_000_000
+        check_shift_unbiasedness(1.0, 2_000, 0)  # lazy imports stay outside the traced peak
+        tracemalloc.start()
+        try:
+            check_shift_unbiasedness(1.0, samples, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * samples + 8 * verify._CHUNK + 2**16
+
 
 class TestChiSquare:
     def test_passes_at_reference_setting(self):
@@ -361,10 +401,10 @@ class TestBattery:
         assert excinfo.value is err
 
     def test_memory_bound(self):
-        """Peak traced memory stays within w + 1 arrays of samples plus 1 MB:
+        """Peak traced memory stays within w arrays of samples plus 1 MB:
         at most w = 2 array-holding checks run at once on the pool's two
-        threads, one array each, and the CosShift check holds a second for its
-        phases."""
+        threads, one array each (the CosShift check's phases take one chunk,
+        not a second array)."""
         samples = 1_000_000
         w = 2
         run_battery(0, samples=2_000)  # lazy imports stay outside the traced peak
@@ -374,7 +414,7 @@ class TestBattery:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (w + 1) * 8 * samples + 2**20
+        assert peak <= w * 8 * samples + 2**20
 
     def test_pool_does_not_grow_with_cpus(self, monkeypatch, report_cpus):
         """With 64 CPUs reported, one pool of two threads, and the memory
@@ -397,7 +437,7 @@ class TestBattery:
         finally:
             tracemalloc.stop()
         assert made == [2]
-        assert peak <= 3 * 8 * samples + 2**20
+        assert peak <= 2 * 8 * samples + 2**20
 
     def test_pass_rule_consistency(self):
         """Every report's flag is reproducible from its own fields."""
