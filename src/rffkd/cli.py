@@ -4,7 +4,8 @@ Subcommands: embed (map a matrix of points), dims (feature-count planning),
 kpca (tail-energy experiment), pairs (distance-ratio experiment), verify
 (statistical battery; exit code 0 iff every check passes), gen (synthetic
 datasets and stress grids).  All output is CSV to stdout unless --output
-names a file.
+names a file.  A flag that the command, as invoked, does not read is refused
+with exit code 2 before any input is read or output opened.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-def _write_report_csv(out, columns, rows) -> None:
-    out.write(",".join(columns) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
+def _write_report_csv(path, columns, rows) -> None:
+    with _open_output(path) as out:
+        out.write(",".join(columns) + "\n")
+        for row in rows:
+            out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 @contextmanager
@@ -48,10 +50,9 @@ def _open_output(path: str | None, binary: bool = False):
             yield handle
 
 
-def _write_matrix_output(args, blocks, shape) -> None:
-    binary = args.output_format == "raw-f64"
-    with _open_output(args.output, binary=binary) as out:
-        write_blocks(out, blocks, shape, fmt=args.output_format)
+def _write_matrix_output(path, fmt, blocks, shape) -> None:
+    with _open_output(path, binary=fmt == "raw-f64") as out:
+        write_blocks(out, blocks, shape, fmt=fmt)
 
 
 def _parse_t_list(text: str) -> tuple[int, ...]:
@@ -65,284 +66,237 @@ def _parse_t_list(text: str) -> tuple[int, ...]:
 
 
 def _add_output_flags(sub, matrix: bool) -> None:
-    sub.add_argument("--output", default=None, help="output file (default: stdout)")
+    sub.add_argument("--output", help="output file (default: stdout)")
     if matrix:
-        sub.add_argument(
-            "--output-format", choices=FORMATS, default="csv", help="matrix output format"
-        )
+        sub.add_argument("--output-format", choices=FORMATS, help="matrix output format")
 
 
 def _add_input_flags(sub) -> None:
-    sub.add_argument("--input", default=None, help="input matrix file")
-    sub.add_argument("--input-format", choices=FORMATS, default="csv", help="matrix input format")
+    sub.add_argument("--input", help="input matrix file")
+    sub.add_argument("--input-format", choices=FORMATS, help="matrix input format")
     sub.add_argument(
         "--header", action="store_true", help="input CSV has a header row to skip"
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser.  Every flag defaults to absent, so the namespace holds only
+    the flags given; each command pops those it reads, with their defaults."""
     parser = argparse.ArgumentParser(
         prog="rffkd",
         description="Random Fourier feature embeddings with guarantees on Gaussian kernel distances.",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="base seed, for all but dims (default 0)"
-    )
+    parser.add_argument("--seed", type=int, help="base seed, for all but dims (default 0)")
     parser.add_argument(
         "--sigma",
         type=float,
-        default=None,
         help="kernel bandwidth, for embed, kpca, pairs and gen --kind grid (default 1.0)",
     )
-    parser.add_argument(
-        "--t", type=int, default=None, help="feature pairs / features, embed only (default 64)"
-    )
+    parser.add_argument("--t", type=int, help="feature pairs / features, embed only (default 64)")
     parser.add_argument(
         "--variant",
         choices=[v.value for v in Variant],
-        default=None,
         help="feature map variant, for embed, kpca and pairs (default cossin)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("embed", help="embed a matrix of points, one row per point")
+    def add_command(name, func, text):
+        p = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        p.set_defaults(func=func)
+        return p
+
+    p = add_command("embed", _cmd_embed, "embed a matrix of points, one row per point")
     _add_input_flags(p)
     _add_output_flags(p, matrix=True)
-    p.set_defaults(func=_cmd_embed)
 
-    p = sub.add_parser("dims", help="plan how many feature pairs are needed")
+    p = add_command("dims", _cmd_dims, "plan how many feature pairs are needed")
     p.add_argument(
         "--regime",
         choices=["per-pair", "finite-points", "bounded-diameter"],
         required=True,
     )
     p.add_argument("--epsilon", type=float, required=True, help="target relative error")
-    p.add_argument("--delta", type=float, default=None, help="failure probability")
-    p.add_argument("--n", type=int, default=None, help="point count (finite-points)")
-    p.add_argument("--dim", type=int, default=None, help="ambient dimension (bounded-diameter)")
-    p.add_argument("--diameter", type=float, default=None, help="ball radius (bounded-diameter)")
-    p.add_argument("--constant", type=float, default=None, help="override the bound constant")
+    p.add_argument("--delta", type=float, help="failure probability")
+    p.add_argument("--n", type=int, help="point count (finite-points)")
+    p.add_argument("--dim", type=int, help="ambient dimension (bounded-diameter)")
+    p.add_argument("--diameter", type=float, help="ball radius (bounded-diameter)")
+    p.add_argument("--constant", type=float, help="override the bound constant")
     _add_output_flags(p, matrix=False)
-    p.set_defaults(func=_cmd_dims)
 
-    p = sub.add_parser("kpca", help="compare exact and embedded kernel PCA tail energies")
+    p = add_command("kpca", _cmd_kpca, "compare exact and embedded kernel PCA tail energies")
     _add_input_flags(p)
-    p.add_argument("--synth-n", type=int, default=2000, help="synthetic points if no --input")
-    p.add_argument("--synth-dim", type=int, default=256, help="synthetic dimension")
-    p.add_argument("--synth-clusters", type=int, default=10, help="synthetic cluster count")
-    p.add_argument("--k", type=int, default=40, help="kept components (default 40)")
-    p.add_argument("--t-list", default="50,100,200,400,800", help="comma-separated feature counts")
-    p.add_argument("--trials", type=int, default=10, help="independent maps per t (default 10)")
+    p.add_argument("--synth-n", type=int, help="synthetic points if no --input")
+    p.add_argument("--synth-dim", type=int, help="synthetic dimension")
+    p.add_argument("--synth-clusters", type=int, help="synthetic cluster count")
+    p.add_argument("--k", type=int, help="kept components (default 40)")
+    p.add_argument("--t-list", help="comma-separated feature counts")
+    p.add_argument("--trials", type=int, help="independent maps per t (default 10)")
     _add_output_flags(p, matrix=False)
-    p.set_defaults(func=_cmd_kpca)
 
-    p = sub.add_parser("pairs", help="distance-ratio experiment over log-spread pair distances")
-    p.add_argument("--pairs", type=int, default=2000, help="pairs per feature count (default 2000)")
-    p.add_argument("--dim", type=int, default=10, help="ambient dimension (default 10)")
-    p.add_argument("--ball-radius", type=float, default=500.0, help="anchor ball radius")
-    p.add_argument("--dist-min", type=float, default=1e-4, help="smallest pair distance")
-    p.add_argument("--dist-max", type=float, default=1e4, help="largest pair distance")
-    p.add_argument("--t-list", default="50,100,200,400,800", help="comma-separated feature counts")
+    p = add_command(
+        "pairs", _cmd_pairs, "distance-ratio experiment over log-spread pair distances"
+    )
+    p.add_argument("--pairs", type=int, help="pairs per feature count (default 2000)")
+    p.add_argument("--dim", type=int, help="ambient dimension (default 10)")
+    p.add_argument("--ball-radius", type=float, help="anchor ball radius")
+    p.add_argument("--dist-min", type=float, help="smallest pair distance")
+    p.add_argument("--dist-max", type=float, help="largest pair distance")
+    p.add_argument("--t-list", help="comma-separated feature counts")
     _add_output_flags(p, matrix=False)
-    p.set_defaults(func=_cmd_pairs)
 
-    p = sub.add_parser("verify", help="run the statistical battery; exit 0 iff all checks pass")
-    p.add_argument("--samples", type=int, default=1_000_000, help="Monte Carlo samples per check")
+    p = add_command(
+        "verify", _cmd_verify, "run the statistical battery; exit 0 iff all checks pass"
+    )
+    p.add_argument("--samples", type=int, help="Monte Carlo samples per check")
     _add_output_flags(p, matrix=False)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("gen", help="generate synthetic data or a kernel stress grid")
+    p = add_command("gen", _cmd_gen, "generate synthetic data or a kernel stress grid")
     p.add_argument("--kind", choices=["synth", "grid"], required=True)
-    p.add_argument("--n", type=int, default=None, help="points (synth, default 2000)")
-    p.add_argument("--dim", type=int, default=None, help="dimension (synth default 256, grid 2)")
-    p.add_argument("--clusters", type=int, default=None, help="mixture components (synth, default 10)")
-    p.add_argument("--diameter", type=float, default=None, help="box half-width (grid, required)")
-    p.add_argument("--epsilon", type=float, default=None, help="kernel level (grid, default 0.25)")
+    p.add_argument("--n", type=int, help="points (synth, default 2000)")
+    p.add_argument("--dim", type=int, help="dimension (synth default 256, grid 2)")
+    p.add_argument("--clusters", type=int, help="mixture components (synth, default 10)")
+    p.add_argument("--diameter", type=float, help="box half-width (grid, required)")
+    p.add_argument("--epsilon", type=float, help="kernel level (grid, default 0.25)")
     _add_output_flags(p, matrix=True)
-    p.set_defaults(func=_cmd_gen)
 
     return parser
 
 
-def _read_input_matrix(args) -> PointSet:
-    if args.input is None:
+def _refuse_unread(given: dict, invoked: str) -> None:
+    """Refuse a flag left in given: one that the command as invoked does not read."""
+    if given:
+        flag = "--" + next(iter(given)).replace("_", "-")
+        raise ValueError(f"{flag} does not apply to {invoked}")
+
+
+def _pop_input(given: dict) -> tuple:
+    return given.pop("input", None), given.pop("input_format", "csv"), given.pop("header", False)
+
+
+def _read_points(path, fmt, header) -> PointSet:
+    if path is None:
         raise ValueError("--input is required for this command")
-    data = read_matrix(args.input, fmt=args.input_format, header=args.header)
-    return PointSet(data)
+    return PointSet(read_matrix(path, fmt=fmt, header=header))
 
 
-def _variant(args) -> Variant:
-    return Variant.COS_SIN if args.variant is None else Variant(args.variant)
-
-
-def _sigma(args) -> Bandwidth:
-    return Bandwidth(1.0 if args.sigma is None else args.sigma)
-
-
-def _seed(args) -> int:
-    return 0 if args.seed is None else args.seed
-
-
-def _cmd_embed(args) -> int:
-    points = _read_input_matrix(args)
+def _cmd_embed(given) -> int:
+    source = _pop_input(given)
     spec = FeatureMapSpec(
-        variant=_variant(args),
-        sigma=_sigma(args),
-        size=64 if args.t is None else args.t,
-        seed=_seed(args),
+        variant=Variant(given.pop("variant", "cossin")),
+        sigma=Bandwidth(given.pop("sigma", 1.0)),
+        size=given.pop("t", 64),
+        seed=given.pop("seed", 0),
     )
+    output, fmt = given.pop("output", None), given.pop("output_format", "csv")
+    _refuse_unread(given, "embed")
+    points = _read_points(*source)
     # a few blocks of output in memory at a time, whatever n * output_dim is
     blocks = embed_blocks(points, sample_map(spec, points.dim))
-    _write_matrix_output(args, blocks, (points.n, spec.output_dim))
+    _write_matrix_output(output, fmt, blocks, (points.n, spec.output_dim))
     return 0
 
 
-def _cmd_dims(args) -> int:
-    request = DimensionRequest(
-        regime=args.regime,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        n=args.n,
-        dim=args.dim,
-        diameter=args.diameter,
-        constant_override=args.constant,
-    )
-    result = plan(request)
-    columns = [
-        "regime",
-        "epsilon",
-        "delta",
-        "n",
-        "dim",
-        "diameter",
-        "constant",
-        "pair_count",
-        "output_dim",
-        "formula_note",
-    ]
-    row = [
-        result.regime,
-        args.epsilon,
-        args.delta,
-        args.n,
-        args.dim,
-        args.diameter,
-        args.constant,
-        result.pair_count,
-        result.output_dim,
-        '"' + result.formula_note + '"',
-    ]
-    with _open_output(args.output) as out:
-        _write_report_csv(out, columns, [row])
+def _cmd_dims(given) -> int:
+    names = ("regime", "epsilon", "delta", "n", "dim", "diameter", "constant")
+    values = [given.pop(name, None) for name in names]
+    output = given.pop("output", None)
+    _refuse_unread(given, "dims")
+    # DimensionRequest's fields in order, with --constant as constant_override
+    result = plan(DimensionRequest(*values[:-1], constant_override=values[-1]))
+    columns = [*names, "pair_count", "output_dim", "formula_note"]
+    row = [*values, result.pair_count, result.output_dim, '"' + result.formula_note + '"']
+    _write_report_csv(output, columns, [row])
     return 0
 
 
-def _cmd_kpca(args) -> int:
-    if args.input is not None:
-        points = _read_input_matrix(args)
+def _cmd_kpca(given) -> int:
+    if "input" in given:
+        source, invoked = _pop_input(given), "kpca with --input"
     else:
-        points = synth_dataset(args.synth_n, args.synth_dim, args.synth_clusters, _seed(args))
+        n, dim, clusters = (
+            given.pop("synth_n", 2000), given.pop("synth_dim", 256), given.pop("synth_clusters", 10)
+        )
+        source, invoked = None, "kpca without --input"
+    variant, sigma = given.pop("variant", "cossin"), given.pop("sigma", 1.0)
+    seed, k, trials = given.pop("seed", 0), given.pop("k", 40), given.pop("trials", 10)
+    t_list, output = given.pop("t_list", "50,100,200,400,800"), given.pop("output", None)
+    _refuse_unread(given, invoked)
+    points = synth_dataset(n, dim, clusters, seed) if source is None else _read_points(*source)
     reports = kpca_experiment(
-        points,
-        _sigma(args),
-        args.k,
-        _parse_t_list(args.t_list),
-        args.trials,
-        _seed(args),
-        variant=_variant(args),
+        points, Bandwidth(sigma), k, _parse_t_list(t_list), trials, seed, variant=Variant(variant)
     )
     columns = ["sigma", "t", "k", "R_exact", "R_approx", "rel_err"]
     rows = [[r.sigma, r.t, r.k, r.r_exact, r.r_approx, r.rel_err] for r in reports]
-    with _open_output(args.output) as out:
-        _write_report_csv(out, columns, rows)
+    _write_report_csv(output, columns, rows)
     return 0
 
 
-def _cmd_pairs(args) -> int:
+def _cmd_pairs(given) -> int:
     cfg = PairExperimentConfig(
-        n_pairs=args.pairs,
-        ball_radius=args.ball_radius,
-        dist_min=args.dist_min,
-        dist_max=args.dist_max,
-        sigma=_sigma(args),
-        t_list=_parse_t_list(args.t_list),
-        seed=_seed(args),
-        variant=_variant(args),
+        n_pairs=given.pop("pairs", 2000),
+        ball_radius=given.pop("ball_radius", 500.0),
+        dist_min=given.pop("dist_min", 1e-4),
+        dist_max=given.pop("dist_max", 1e4),
+        sigma=Bandwidth(given.pop("sigma", 1.0)),
+        t_list=_parse_t_list(given.pop("t_list", "50,100,200,400,800")),
+        seed=given.pop("seed", 0),
+        variant=Variant(given.pop("variant", "cossin")),
     )
-    reports = pairs_experiment(cfg, dim=args.dim)
+    dim, output = given.pop("dim", 10), given.pop("output", None)
+    _refuse_unread(given, "pairs")
+    reports = pairs_experiment(cfg, dim=dim)
     columns = ["t", "r", "d_exact", "d_approx", "ratio"]
     rows = (
         [rep.t, rep.radii[i], rep.d_exact[i], rep.d_approx[i], rep.ratios[i]]
         for rep in reports
         for i in range(rep.radii.shape[0])
     )
-    with _open_output(args.output) as out:
-        _write_report_csv(out, columns, rows)
+    _write_report_csv(output, columns, rows)
     return 0
 
 
-def _cmd_verify(args) -> int:
-    reports = run_battery(_seed(args), samples=args.samples)
+def _cmd_verify(given) -> int:
+    # The battery has no bandwidth.  --sigma is taken and not read, because
+    # the benchmark's verify workload passes it.
+    given.pop("sigma", None)
+    seed, samples = given.pop("seed", 0), given.pop("samples", 1_000_000)
+    output = given.pop("output", None)
+    _refuse_unread(given, "verify")
+    reports = run_battery(seed, samples=samples)
     columns = ["name", "samples", "statistic", "bound", "std_err", "passed"]
     rows = [
         [r.check_name, r.samples, r.statistic, r.bound, r.std_err, r.passed] for r in reports
     ]
-    with _open_output(args.output) as out:
-        _write_report_csv(out, columns, rows)
+    _write_report_csv(output, columns, rows)
     return 0 if all(r.passed for r in reports) else 1
 
 
-# The gen flags, global ones included, that only one kind reads; the other
-# kind refuses them.
-_GEN_KIND_OF_FLAG = {
-    "n": "synth",
-    "clusters": "synth",
-    "diameter": "grid",
-    "epsilon": "grid",
-    "sigma": "grid",
-    "seed": "synth",
-}
-
-
-def _cmd_gen(args) -> int:
-    for flag, kind in _GEN_KIND_OF_FLAG.items():
-        if kind != args.kind and getattr(args, flag) is not None:
-            raise ValueError(f"--{flag} applies only to --kind {kind}")
-    if args.kind == "synth":
-        n = 2000 if args.n is None else args.n
-        dim = 256 if args.dim is None else args.dim
-        clusters = 10 if args.clusters is None else args.clusters
-        points = synth_dataset(n, dim, clusters, _seed(args))
+def _cmd_gen(given) -> int:
+    kind = given.pop("kind")
+    output, fmt = given.pop("output", None), given.pop("output_format", "csv")
+    if kind == "synth":
+        n, dim = given.pop("n", 2000), given.pop("dim", 256)
+        clusters, seed = given.pop("clusters", 10), given.pop("seed", 0)
+        _refuse_unread(given, "gen --kind synth")
+        points = synth_dataset(n, dim, clusters, seed)
     else:
-        if args.diameter is None:
+        dim, diameter = given.pop("dim", 2), given.pop("diameter", None)
+        sigma, epsilon = given.pop("sigma", 1.0), given.pop("epsilon", 0.25)
+        _refuse_unread(given, "gen --kind grid")
+        if diameter is None:
             raise ValueError("--diameter is required for --kind grid")
-        dim = 2 if args.dim is None else args.dim
-        epsilon = 0.25 if args.epsilon is None else args.epsilon
-        points = gen_grid_stress(dim, args.diameter, _sigma(args), epsilon)
-    _write_matrix_output(args, [points.data], points.data.shape)
+        points = gen_grid_stress(dim, diameter, Bandwidth(sigma), epsilon)
+    _write_matrix_output(output, fmt, [points.data], points.data.shape)
     return 0
 
 
-# The global flags that only some subcommands read; the others refuse them.
-# verify accepts --sigma, which it does not read, because the benchmark's
-# verify workload passes it; gen checks its own kinds (_GEN_KIND_OF_FLAG).
-_ALL_BUT_DIMS = ("embed", "kpca", "pairs", "verify", "gen")
-_COMMANDS_OF_FLAG = {
-    "t": ("embed",),
-    "variant": ("embed", "kpca", "pairs"),
-    "sigma": _ALL_BUT_DIMS,
-    "seed": _ALL_BUT_DIMS,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    given = vars(build_parser().parse_args(argv))
+    del given["command"]
+    command = given.pop("func")
     try:
-        for flag, commands in _COMMANDS_OF_FLAG.items():
-            if args.command not in commands and getattr(args, flag) is not None:
-                raise ValueError(f"--{flag} applies only to {', '.join(commands)}")
-        status = args.func(args)
+        status = command(given)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout.  Point it at devnull so the flush at exit

@@ -118,10 +118,12 @@ def sample_map(spec: FeatureMapSpec, dim: int) -> FeatureMap:
     return FeatureMap(spec=spec, frequencies=freq, shifts=shifts)
 
 
-# Output bytes per row block of embed and embed_blocks.  Features of a point
-# depend only on that point and the map, so blocks change nothing but peak
-# memory, which is about WORKERS + 1 blocks of output and projection (see
-# _pipeline).
+# Output bytes per row block of embed and embed_blocks.  Peak memory is about
+# WORKERS + 1 blocks of output and projection (see _pipeline).  The bytes are
+# fixed at a given BLAS thread count, not at every count: the projection
+# matmul may sum a row in another order where the thread count moves its tile
+# edges, as `rffkd --seed 3 --sigma 4 --t 300 embed` of a 700 x 32 raw input
+# shows under OPENBLAS_NUM_THREADS=1 and =2.
 BLOCK_BYTES = 2 * 1024 * 1024
 # Fewest blocks for which the pool is used: below this its start and its fill
 # and drain cost about what it saves.  Timed from spawn to exit, `rffkd embed`

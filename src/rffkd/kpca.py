@@ -202,12 +202,23 @@ def kpca_experiment(
 
     For each t in t_list, draws `trials` independent maps (seeds derived
     from (seed, t, trial)), computes the embedded residual for each, and
-    reports it against the exact tail energy of the same point set.
+    reports it against the exact tail energy of the same point set.  k is
+    checked against n and every t's output dimension before any of the work.
     """
     trials = integer("trials", trials)
     k = integer("k", k, minimum=0)
     t_list = [integer("t_list entry", t) for t in t_list]
     seed = check_seed(seed)
+    n = points.n
+    if k >= n:
+        raise ValueError(f"k must be an integer in [0, n), got k={k} with n={n}")
+    for t in t_list:
+        m = FeatureMapSpec(variant=variant, sigma=sigma, size=t, seed=seed).output_dim
+        if k >= m:
+            raise ValueError(
+                f"k must be an integer in [0, min(n, output_dim)), got k={k} with n={n}"
+                f" and output_dim={m} at t={t}"
+            )
     centered = center_gram(gram_exact(points, sigma))
     r_exact = exact_tail_energy(centered, k)
     reports = []

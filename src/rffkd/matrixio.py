@@ -18,6 +18,8 @@ from os import PathLike
 
 import numpy as np
 
+from ._checks import integer
+
 __all__ = [
     "MAGIC",
     "FORMATS",
@@ -160,9 +162,9 @@ def write_blocks(dest, blocks, shape, fmt: str = "csv") -> None:
 
     Blocks are consumed one at a time, so only the block being written needs
     to be in memory.  ValueError if the blocks do not stack into exactly the
-    declared shape (n, d) or if it is empty.
+    declared shape (n, d), if it is empty, or if an entry is not an integer.
     """
-    n, d = (int(v) for v in shape)
+    n, d = (integer("shape entry", v, minimum=0) for v in shape)
     if n < 1 or d < 1:
         raise ValueError(f"expected a non-empty 2-d matrix, got shape {tuple(shape)}")
     if fmt == "csv":

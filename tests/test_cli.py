@@ -18,6 +18,7 @@ import pytest
 
 import rffkd
 import rffkd.features
+import rffkd.kpca
 from rffkd import Bandwidth, FeatureMapSpec, PointSet, Variant, embed, sample_map
 from rffkd.cli import main
 from rffkd.matrixio import read_matrix, write_matrix
@@ -373,6 +374,9 @@ class TestVerify:
         assert f"samples must be an integer >= 2, got {samples}" in err
 
 
+GLOBAL_FLAGS = ("--seed", "--sigma", "--t", "--variant")
+
+
 class TestGlobalFlags:
     """--t is read by embed alone, --variant by embed, kpca and pairs, and
     --sigma and --seed by every command but dims (gen takes --sigma for grids
@@ -396,7 +400,7 @@ class TestGlobalFlags:
     def test_flag_the_command_ignores_is_error(self, capsys, flag, argv):
         rc, out, err = run_cli(capsys, *argv.split())
         assert rc == 2 and out == ""
-        assert err.startswith(f"rffkd: error: {flag} applies only to ")
+        assert err.startswith(f"rffkd: error: {flag} does not apply to {argv.split()[2]}")
 
     @pytest.mark.parametrize(
         "given, argv",
@@ -410,13 +414,21 @@ class TestGlobalFlags:
             ("--seed 0", "verify --samples 1000"),
             ("--seed 0", "gen --kind synth --n 5 --dim 2"),
             ("--sigma 1.0", "gen --kind grid --diameter 3"),
+            ("--input-format csv", "embed --input {}"),
+            ("--input-format csv", "kpca --input {} --k 2 --t-list 8 --trials 1"),
+            ("--synth-n 2000", "kpca --synth-dim 2 --k 2 --t-list 8 --trials 1"),
+            ("--synth-dim 256", "kpca --synth-n 20 --k 2 --t-list 8 --trials 1"),
+            ("--synth-clusters 10", "kpca --synth-n 20 --synth-dim 3 --k 2 --t-list 8 --trials 1"),
         ],
     )
     def test_defaults_given_explicitly_change_nothing(self, tmp_path, capsys, given, argv):
         path = tmp_path / "pts.csv"
         write_matrix(path, np.random.default_rng(0).standard_normal((6, 3)))
         argv = argv.format(path).split()
-        assert run_cli(capsys, *given.split(), *argv) == run_cli(capsys, *argv)
+        # global flags go before the subcommand, the subcommand's own after it
+        given = given.split()
+        full = given + argv if given[0] in GLOBAL_FLAGS else argv + given
+        assert run_cli(capsys, *full) == run_cli(capsys, *argv)
 
 
     def test_verify_accepts_sigma_and_ignores_it(self, capsys):
@@ -434,7 +446,66 @@ class TestGlobalFlags:
     def test_gen_refuses_the_other_kinds_global_flag(self, capsys, flag, argv):
         rc, out, err = run_cli(capsys, *argv.split())
         assert rc == 2 and out == ""
-        assert err.startswith(f"rffkd: error: {flag} applies only to --kind ")
+        invoked = " ".join(argv.split()[2:5])
+        assert err.startswith(f"rffkd: error: {flag} does not apply to {invoked}")
+
+
+class TestUnreadFlags:
+    """A flag that the command, as invoked, does not read is refused before
+    any input is read or output opened.  embed reads every flag it takes."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("--seed 9 dims --regime per-pair --epsilon 0.3 --delta 0.2",
+             "--seed does not apply to dims"),
+            ("--t 5 kpca --synth-n 20 --synth-dim 3 --k 2 --t-list 8 --trials 1",
+             "--t does not apply to kpca without --input"),
+            ("kpca --input {} --synth-n 5 --k 2 --t-list 8 --trials 1",
+             "--synth-n does not apply to kpca with --input"),
+            ("kpca --synth-n 30 --header --input-format raw-f64 --k 2 --t-list 8 --trials 1",
+             "--header does not apply to kpca without --input"),
+            ("kpca --synth-n 30 --input-format csv --k 2 --t-list 8 --trials 1",
+             "--input-format does not apply to kpca without --input"),
+            ("--t 5 pairs --pairs 5 --dim 2 --t-list 8", "--t does not apply to pairs"),
+            ("--variant cossin verify --samples 1000", "--variant does not apply to verify"),
+            ("--sigma 2 gen --kind synth --n 5 --dim 2",
+             "--sigma does not apply to gen --kind synth"),
+            ("gen --kind grid --diameter 3 --clusters 4",
+             "--clusters does not apply to gen --kind grid"),
+        ],
+    )
+    def test_refused_before_output(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "pts.csv"
+        write_matrix(path, np.random.default_rng(0).standard_normal((6, 3)))
+        dest = tmp_path / "out"
+        rc, out, err = run_cli(capsys, *argv.format(path).split(), "--output", str(dest))
+        assert (rc, out, err) == (2, "", f"rffkd: error: {message}\n")
+        assert not dest.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ("--t 5 kpca --input {} --k 2 --t-list 8", "--t"),
+            ("kpca --input {} --synth-dim 3 --k 2 --t-list 8", "--synth-dim"),
+        ],
+    )
+    def test_refused_before_input_is_read(self, tmp_path, capsys, argv, flag):
+        """The input does not exist, and the error names the flag, not the file."""
+        rc, out, err = run_cli(capsys, *argv.format(tmp_path / "nope.csv").split())
+        assert (rc, out) == (2, "")
+        assert err == f"rffkd: error: {flag} does not apply to kpca with --input\n"
+
+    def test_k_too_large_for_a_t_is_refused_before_the_exact_side(self, capsys, monkeypatch):
+        def no_gram(*args):
+            raise AssertionError("gram_exact ran before k was checked")
+
+        monkeypatch.setattr(rffkd.kpca, "gram_exact", no_gram)
+        rc, out, err = run_cli(
+            capsys, "kpca", "--synth-n", "30", "--synth-dim", "3", "--k", "25", "--t-list", "40,10"
+        )
+        assert (rc, out) == (2, "")
+        assert err.startswith("rffkd: error: k must be") and "at t=10" in err
 
 
 class TestParser:
@@ -463,12 +534,12 @@ def test_console_script_end_to_end():
     assert "205" in proc.stdout
 
 
-def imports_scipy(statement):
-    """Whether a fresh interpreter has scipy loaded after the statement."""
+def imports(module, statement):
+    """Whether a fresh interpreter has module loaded after the statement."""
     env = dict(os.environ)
     src = str(Path(rffkd.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = f"{statement}\nimport sys\nprint('scipy' in sys.modules)"
+    code = f"{statement}\nimport sys\nprint({module!r} in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
@@ -477,12 +548,25 @@ def imports_scipy(statement):
 
 
 def test_cli_import_leaves_scipy_out():
-    assert not imports_scipy("import rffkd.cli")
+    assert not imports("scipy", "import rffkd.cli")
 
 
 def test_scipy_probe_sees_an_import():
     """Negative control: the probe above reports scipy once something loads it."""
-    assert imports_scipy("import rffkd.cli\nimport scipy.spatial.distance")
+    assert imports("scipy", "import rffkd.cli\nimport scipy.spatial.distance")
+
+
+def test_cli_import_leaves_concurrent_futures_out():
+    """The thread pool's module is imported when a pool is first built."""
+    assert not imports("concurrent.futures", "import rffkd.cli")
+
+
+def test_futures_probe_sees_the_pool():
+    """Negative control: the probe reports concurrent.futures once a pool runs."""
+    assert imports(
+        "concurrent.futures",
+        "import rffkd.cli\nfrom rffkd._pool import in_order\nlist(in_order([(abs, -1)], 1))",
+    )
 
 
 def test_closed_stdout_ends_quietly(tmp_path):

@@ -4,6 +4,7 @@ pipeline, and the map-versus-exact experiment loop.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from mpmath import mp
 
 import rffkd.features
+import rffkd.kpca
 from rffkd import (
     Bandwidth,
     FeatureMapSpec,
@@ -372,6 +374,26 @@ class TestKpcaExperiment:
             tracemalloc.stop()
         embedding, fmap = 8 * n * 2 * t, 8 * t * dim
         assert peak <= embedding + fmap + rffkd.features.BLOCK_BYTES + 4 * 8 * n * n
+
+    @pytest.mark.parametrize(
+        "variant, k, t_list, named",
+        [
+            (Variant.COS_SIN, 50, [100], "got k=50 with n=50"),
+            (Variant.COS_SIN, 25, [10], "got k=25 with n=50 and output_dim=20 at t=10"),
+            (Variant.COS_SHIFT, 25, [100, 20], "got k=25 with n=50 and output_dim=20 at t=20"),
+        ],
+    )
+    def test_k_checked_before_the_exact_side(self, monkeypatch, variant, k, t_list, named):
+        """A k that n or some t's output dimension cannot hold is refused, naming
+        that t, before the exact Gram is built."""
+
+        def no_gram(*args):
+            raise AssertionError("gram_exact ran before k was checked")
+
+        monkeypatch.setattr(rffkd.kpca, "gram_exact", no_gram)
+        pts = synth_dataset(50, 3, 2, seed=0)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            kpca_experiment(pts, Bandwidth(1.0), k, t_list, trials=1, seed=0, variant=variant)
 
     def test_trials_validated(self):
         pts = small_points()

@@ -239,6 +239,15 @@ class TestWriteBlocks:
         with pytest.raises(ValueError, match="non-empty"):
             write_blocks(buf, [np.zeros(shape)], shape, fmt=fmt)
 
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("shape", [(2.7, 3.9), (2.0, 3), (2, True), ("2", 3)])
+    def test_non_integer_shape_rejected(self, fmt, shape):
+        """A shape entry is not truncated or parsed: (2.7, 3.9) is no 2 x 3."""
+        buf = io.StringIO() if fmt == "csv" else io.BytesIO()
+        with pytest.raises(ValueError, match="shape entry must be an integer >= 0"):
+            write_blocks(buf, [np.ones((2, 3))], shape, fmt=fmt)
+        assert not buf.getvalue()
+
     @pytest.mark.parametrize("shape", [(1 << 32, 1), (1, 1 << 32)])
     def test_raw_header_must_fit_u32(self, shape):
         buf = io.BytesIO()
