@@ -1,5 +1,7 @@
-"""The package's one thread-pool rule, for embed's cos/sin and verify's checks:
-WORKERS threads whatever the CPU count, so memory does not grow with the machine.
+"""The package's one thread-pool rule, for embed's cos/sin, verify's checks and
+the CSV writer's formatting: WORKERS threads whatever the CPU count, so memory
+does not grow with the machine.  Each in_order call builds its own pool, so
+a CSV embed that pools its cos/sin runs two pools at once.
 """
 
 from itertools import islice

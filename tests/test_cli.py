@@ -19,7 +19,9 @@ import pytest
 import rffkd
 import rffkd.features
 import rffkd.kpca
+import rffkd.matrixio
 from rffkd import Bandwidth, FeatureMapSpec, PointSet, Variant, embed, sample_map
+from rffkd._pool import WORKERS
 from rffkd.cli import main
 from rffkd.matrixio import read_matrix, write_matrix
 
@@ -242,6 +244,30 @@ class TestEmbedStreaming:
         dest.unlink()
         assert peak <= 4 * rffkd.features.BLOCK_BYTES + 3 * pts.nbytes
 
+    @pytest.mark.parametrize("cpus", [1, 64], ids=["1cpu", "64cpus"])
+    def test_csv_memory_bounded_by_blocks_and_jobs(self, tmp_path, report_cpus, cpus):
+        """2000 x 800 CSV output is about 33 MB of text; the CLI holds a few
+        blocks, the input, and the formatting jobs in flight with their
+        temporaries (under 256 bytes a value), whatever the CPU count."""
+        report_cpus(cpus)
+        pts = np.random.default_rng(0).standard_normal((2000, 8))
+        src, dest = tmp_path / "pts.bin", tmp_path / "emb.csv"
+        write_matrix(src, pts, fmt="raw-f64")
+        tracemalloc.start()
+        try:
+            rc = main([
+                "--t", "400", "embed", "--input", str(src), "--input-format", "raw-f64",
+                "--output", str(dest), "--output-format", "csv",
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        size = dest.stat().st_size
+        dest.unlink()
+        jobs = (WORKERS + 1) * rffkd.matrixio._CSV_JOB_VALUES * 256
+        assert peak <= 4 * rffkd.features.BLOCK_BYTES + 3 * pts.nbytes + jobs < size
+
     def test_memory_bounded_on_many_cpus(self, tmp_path, report_cpus):
         """The same bound when the process reports 64 CPUs: its 61 blocks take
         the pool, whose blocks in flight do not grow with the CPU count."""
@@ -319,6 +345,20 @@ class TestKpca:
     def test_bad_t_list_is_error(self, capsys):
         rc, _, err = run_cli(capsys, "kpca", "--synth-n", "20", "--synth-dim", "3", "--t-list", "a,b")
         assert rc == 2 and "--t-list" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["kpca", "--synth-n", "20", "--synth-dim", "3", "--k", "2", "--trials", "1"],
+     ["pairs", "--pairs", "2", "--dim", "2"]],
+    ids=["kpca", "pairs"],
+)
+@pytest.mark.parametrize("t_list", ["8,,16,", "8,16,", ",8", "", "8, ,16"])
+def test_empty_t_list_entry_is_error(capsys, command, t_list):
+    """An empty entry is refused and the text named, not skipped."""
+    rc, out, err = run_cli(capsys, *command, "--t-list", t_list)
+    assert rc == 2 and out == ""
+    assert f"--t-list must be comma-separated integers, got {t_list!r}" in err
 
 
 class TestPairs:

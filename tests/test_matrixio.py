@@ -7,12 +7,16 @@ layout, and every failure mode must report the right byte offset.
 
 import io
 import struct
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from rffkd import MatrixFormatError, read_matrix, write_matrix
+import rffkd._csvtext
+import rffkd.matrixio
+from rffkd import MatrixFormatError, PointSet, read_matrix, write_matrix
 from rffkd.matrixio import FORMATS, MAGIC, write_blocks
 
 
@@ -193,6 +197,30 @@ class TestReadRawMemory:
         assert peak <= 1.25 * a.nbytes
 
 
+class TestReadCsvMemory:
+    def test_result_is_read_only_and_kept_by_point_set(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_matrix(path, awkward_matrix())
+        arr = read_matrix(path)
+        assert not arr.flags.writeable
+        assert np.shares_memory(PointSet(arr).data, arr)
+
+    def test_matrix_held_once(self, tmp_path):
+        """Reading and wrapping in a PointSet hold one matrix; a copy by
+        PointSet would hold two."""
+        a = np.random.default_rng(2).standard_normal((4096, 64))
+        path = tmp_path / "m.csv"
+        write_matrix(path, a)
+        tracemalloc.start()
+        try:
+            points = PointSet(read_matrix(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(points.data, a)
+        assert peak <= 1.5 * a.nbytes
+
+
 class TestWriteBlocks:
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_blocks_write_the_stacked_matrix(self, tmp_path, fmt):
@@ -214,6 +242,27 @@ class TestWriteBlocks:
 
         write_blocks(buf, blocks(), (6, 3), fmt=fmt)
         assert sizes[0] < sizes[1] < sizes[2] < len(buf.getvalue())
+
+    def test_csv_jobs_on_the_pool_keep_row_order(self, monkeypatch):
+        """One row per formatting job, the earlier rows slower: the jobs run
+        on the pool's threads and the text still comes out in row order."""
+        a = np.random.default_rng(3).standard_normal((8, 3))
+        rank = {row[0]: i for i, row in enumerate(a.tolist())}
+        text, threads = rffkd._csvtext.csv_text, set()
+
+        def slow_early_rows(chunk):
+            threads.add(threading.current_thread())
+            time.sleep(0.003 * (len(a) - rank[chunk[0, 0]]))
+            return text(chunk)
+
+        monkeypatch.setattr(rffkd.matrixio, "_CSV_JOB_VALUES", a.shape[1])
+        monkeypatch.setattr(rffkd._csvtext, "csv_text", slow_early_rows)
+        buf = io.StringIO()
+        write_blocks(buf, [a[:3], a[3:]], a.shape)
+        assert buf.getvalue() == "".join(
+            ",".join("%.17g" % v for v in row) + "\n" for row in a.tolist()
+        )
+        assert threading.main_thread() not in threads
 
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize(
