@@ -1,7 +1,12 @@
 """The package's one thread-pool rule, for embed's cos/sin, verify's checks and
 the CSV writer's formatting: WORKERS threads whatever the CPU count, so memory
-does not grow with the machine.  Each in_order call builds its own pool, so
-a CSV embed that pools its cos/sin runs two pools at once.
+does not grow with the machine.
+
+Each in_order call builds its own pool, so a CSV embed that pools its cos/sin
+runs two pools at once.  That is by design: one process-wide pool of WORKERS
+threads would deadlock as soon as WORKERS pooled jobs each waited on an
+in_order of their own (verify's checks calling a pooled embed, say), since
+the outer jobs would hold every worker their inner jobs wait for.
 """
 
 from itertools import islice

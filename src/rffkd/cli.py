@@ -20,10 +20,18 @@ from .features import FeatureMapSpec, Variant, embed_blocks, sample_map
 from .kernel import Bandwidth, PointSet
 from .kpca import kpca_experiment
 from .matrixio import FORMATS, read_matrix, write_blocks
-from .planner import DimensionRequest, plan
+from .planner import plan_bounded_diameter, plan_finite_points, plan_per_pair
 from .verify import run_battery
 
 __all__ = ["main", "build_parser"]
+
+# Each dims regime's planner and the flags it takes after --epsilon, in the
+# planner's argument order.  dims refuses the other regimes' flags.
+_REGIMES = {
+    "per-pair": (plan_per_pair, ("delta",)),
+    "finite-points": (plan_finite_points, ("n",)),
+    "bounded-diameter": (plan_bounded_diameter, ("delta", "dim", "diameter")),
+}
 
 
 def _fmt(value) -> str:
@@ -109,11 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, matrix=True)
 
     p = add_command("dims", _cmd_dims, "plan how many feature pairs are needed")
-    p.add_argument(
-        "--regime",
-        choices=["per-pair", "finite-points", "bounded-diameter"],
-        required=True,
-    )
+    p.add_argument("--regime", choices=list(_REGIMES), required=True)
     p.add_argument("--epsilon", type=float, required=True, help="target relative error")
     p.add_argument("--delta", type=float, help="failure probability")
     p.add_argument("--n", type=int, help="point count (finite-points)")
@@ -168,18 +172,21 @@ def _refuse_unread(given: dict, invoked: str) -> None:
         raise ValueError(f"{flag} does not apply to {invoked}")
 
 
-def _pop_input(given: dict) -> tuple:
-    return given.pop("input", None), given.pop("input_format", "csv"), given.pop("header", False)
+def _required(given: dict, name: str, invoked: str):
+    """Pop a flag that the command as invoked cannot run without."""
+    if name not in given:
+        raise ValueError(f"--{name.replace('_', '-')} is required for {invoked}")
+    return given.pop(name)
 
 
-def _read_points(path, fmt, header) -> PointSet:
-    if path is None:
-        raise ValueError("--input is required for this command")
-    return PointSet(read_matrix(path, fmt=fmt, header=header))
+def _pop_input(given: dict, invoked: str) -> tuple:
+    """read_matrix's (path, fmt, header)."""
+    path = _required(given, "input", invoked)
+    return path, given.pop("input_format", "csv"), given.pop("header", False)
 
 
 def _cmd_embed(given) -> int:
-    source = _pop_input(given)
+    source = _pop_input(given, "embed")
     spec = FeatureMapSpec(
         variant=Variant(given.pop("variant", "cossin")),
         sigma=Bandwidth(given.pop("sigma", 1.0)),
@@ -188,7 +195,7 @@ def _cmd_embed(given) -> int:
     )
     output, fmt = given.pop("output", None), given.pop("output_format", "csv")
     _refuse_unread(given, "embed")
-    points = _read_points(*source)
+    points = PointSet(read_matrix(*source))
     # a few blocks of output in memory at a time, whatever n * output_dim is
     blocks = embed_blocks(points, sample_map(spec, points.dim))
     _write_matrix_output(output, fmt, blocks, (points.n, spec.output_dim))
@@ -196,21 +203,28 @@ def _cmd_embed(given) -> int:
 
 
 def _cmd_dims(given) -> int:
-    names = ("regime", "epsilon", "delta", "n", "dim", "diameter", "constant")
-    values = [given.pop(name, None) for name in names]
-    output = given.pop("output", None)
-    _refuse_unread(given, "dims")
-    # DimensionRequest's fields in order, with --constant as constant_override
-    result = plan(DimensionRequest(*values[:-1], constant_override=values[-1]))
-    columns = [*names, "pair_count", "output_dim", "formula_note"]
-    row = [*values, result.pair_count, result.output_dim, '"' + result.formula_note + '"']
+    regime, epsilon = given.pop("regime"), given.pop("epsilon")
+    planner, names = _REGIMES[regime]
+    invoked = f"dims --regime {regime}"
+    taken = {name: _required(given, name, invoked) for name in names}
+    constant, output = given.pop("constant", None), given.pop("output", None)
+    _refuse_unread(given, invoked)
+    result = planner(epsilon, *taken.values(), constant)
+    # one column for every regime's flags, left empty where this one takes none
+    flags = ("delta", "n", "dim", "diameter")
+    columns = ["regime", "epsilon", *flags, "constant", "pair_count", "output_dim", "formula_note"]
+    row = [
+        regime, epsilon, *(taken.get(flag) for flag in flags), constant,
+        result.pair_count, result.output_dim, '"' + result.formula_note + '"',
+    ]
     _write_report_csv(output, columns, [row])
     return 0
 
 
 def _cmd_kpca(given) -> int:
     if "input" in given:
-        source, invoked = _pop_input(given), "kpca with --input"
+        invoked = "kpca with --input"
+        source = _pop_input(given, invoked)
     else:
         n, dim, clusters = (
             given.pop("synth_n", 2000), given.pop("synth_dim", 256), given.pop("synth_clusters", 10)
@@ -221,7 +235,7 @@ def _cmd_kpca(given) -> int:
     t_list = _parse_t_list(given.pop("t_list", "50,100,200,400,800"))
     output = given.pop("output", None)
     _refuse_unread(given, invoked)
-    points = synth_dataset(n, dim, clusters, seed) if source is None else _read_points(*source)
+    points = PointSet(read_matrix(*source)) if source else synth_dataset(n, dim, clusters, seed)
     reports = kpca_experiment(
         points, Bandwidth(sigma), k, t_list, trials, seed, variant=Variant(variant)
     )
@@ -280,11 +294,9 @@ def _cmd_gen(given) -> int:
         _refuse_unread(given, "gen --kind synth")
         points = synth_dataset(n, dim, clusters, seed)
     else:
-        dim, diameter = given.pop("dim", 2), given.pop("diameter", None)
+        dim, diameter = given.pop("dim", 2), _required(given, "diameter", "gen --kind grid")
         sigma, epsilon = given.pop("sigma", 1.0), given.pop("epsilon", 0.25)
         _refuse_unread(given, "gen --kind grid")
-        if diameter is None:
-            raise ValueError("--diameter is required for --kind grid")
         points = gen_grid_stress(dim, diameter, Bandwidth(sigma), epsilon)
     _write_matrix_output(output, fmt, [points.data], points.data.shape)
     return 0

@@ -100,7 +100,8 @@ def gen_pairs(cfg: PairExperimentConfig, dim: int, seed: int | None = None) -> P
     x is uniform in the ball of radius ball_radius, the pair distance is
     log-uniform on [dist_min, dist_max], and y - x points uniformly on the
     sphere.  The recorded radii are the achieved float distances, so
-    ||x - y|| reproduces them exactly.
+    ||x - y|| reproduces them exactly.  A distance that rounds to 0 (y == x
+    when the pair distance is below x's ulp) or overflows is refused.
     """
     dim = integer("dim", dim)
     gen = generator(cfg.seed if seed is None else seed)
@@ -108,9 +109,16 @@ def gen_pairs(cfg: PairExperimentConfig, dim: int, seed: int | None = None) -> P
     xs = _unit_directions(gen, n, dim) * (
         cfg.ball_radius * gen.random(n) ** (1.0 / dim)
     ).reshape(-1, 1)
-    radii = np.exp(gen.uniform(math.log(cfg.dist_min), math.log(cfg.dist_max), size=n))
-    ys = xs + radii.reshape(-1, 1) * _unit_directions(gen, n, dim)
-    achieved = np.linalg.norm(ys - xs, axis=1)
+    # an overflow here need not warn: the distance it leaves is refused below
+    with np.errstate(over="ignore"):
+        radii = np.exp(gen.uniform(math.log(cfg.dist_min), math.log(cfg.dist_max), size=n))
+        ys = xs + radii.reshape(-1, 1) * _unit_directions(gen, n, dim)
+        achieved = np.linalg.norm(ys - xs, axis=1)
+    if not np.all(np.isfinite(achieved) & (achieved > 0.0)):
+        raise ValueError(
+            f"pair distances in [dist_min, dist_max] = [{cfg.dist_min!r}, {cfg.dist_max!r}] "
+            f"vanish or overflow at ball_radius {cfg.ball_radius!r}"
+        )
     for arr in (xs, ys, achieved):
         arr.setflags(write=False)
     return PairSample(xs=xs, ys=ys, radii=achieved)
@@ -166,7 +174,10 @@ def gen_grid_stress(dim: int, diameter: float, sigma: Bandwidth, epsilon: float)
     real("epsilon", epsilon, 0.0, 1.0)
     step = sigma.sigma * math.sqrt(2.0 * math.log(1.0 / epsilon))
     # the relative nudge keeps exact multiples of the step inside the box
-    kmax = int(math.floor((diameter / step) * (1.0 + 1e-12)))
+    steps = (diameter / step) * (1.0 + 1e-12)
+    if not math.isfinite(steps):
+        raise ValueError(f"diameter {diameter!r} / grid step {step!r} overflows")
+    kmax = int(math.floor(steps))
     side = 2 * kmax + 1
     count = side**dim
     if count * dim > GRID_SIZE_LIMIT:

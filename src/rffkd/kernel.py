@@ -31,12 +31,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Bandwidth:
-    """Kernel bandwidth sigma; must be positive and finite."""
+    """Kernel bandwidth sigma, in [2^-511, 2^511): the range where sigma,
+    sigma^2 and 1/sigma^2 are all finite normal doubles."""
 
     sigma: float
 
     def __post_init__(self) -> None:
-        real("sigma", self.sigma, 0.0)
+        real("sigma", self.sigma, 2.0**-511, 2.0**511, lo_open=False)
 
 
 @dataclass(frozen=True)

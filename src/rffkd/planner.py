@@ -19,11 +19,9 @@ from ._checks import integer, real
 __all__ = [
     "DEFAULT_CONSTANT",
     "DimensionPlan",
-    "DimensionRequest",
     "plan_per_pair",
     "plan_finite_points",
     "plan_bounded_diameter",
-    "plan",
 ]
 
 DEFAULT_CONSTANT = 8.0
@@ -37,27 +35,7 @@ class DimensionPlan:
 
     pair_count: int
     output_dim: int
-    regime: str
     formula_note: str
-
-
-@dataclass(frozen=True)
-class DimensionRequest:
-    """Planner input; which fields are required depends on the regime.
-
-    regime "per-pair" uses (epsilon, delta); "finite-points" uses
-    (epsilon, n) with delta fixed at 1/n; "bounded-diameter" uses
-    (epsilon, delta, dim, diameter).  Fields a regime does not use must be
-    left None.
-    """
-
-    regime: str
-    epsilon: float
-    delta: float = None  # type: ignore[assignment]
-    n: int = None  # type: ignore[assignment]
-    dim: int = None  # type: ignore[assignment]
-    diameter: float = None  # type: ignore[assignment]
-    constant_override: float = None  # type: ignore[assignment]
 
 
 def _per_pair_raw(epsilon: float, delta: float, constant: float) -> float:
@@ -77,9 +55,9 @@ def _bounded_diameter_raw(
     return constant * dim * epsilon ** -2 * math.log(max(arg, _E))
 
 
-def _plan(raw: float, regime: str, note: str) -> DimensionPlan:
+def _plan(raw: float, note: str) -> DimensionPlan:
     t = int(math.ceil(raw))
-    return DimensionPlan(pair_count=t, output_dim=2 * t, regime=regime, formula_note=note)
+    return DimensionPlan(pair_count=t, output_dim=2 * t, formula_note=note)
 
 
 def plan_per_pair(epsilon: float, delta: float, constant: float | None = None) -> DimensionPlan:
@@ -90,7 +68,7 @@ def plan_per_pair(epsilon: float, delta: float, constant: float | None = None) -
     c = DEFAULT_CONSTANT if constant is None else real("constant", constant, 0.0)
     raw = _per_pair_raw(epsilon, delta, c)
     note = f"t = ceil({c:g} * eps^-2 * ln(2/delta)) = ceil({raw:.6g})"
-    return _plan(raw, "per-pair", note)
+    return _plan(raw, note)
 
 
 def plan_finite_points(epsilon: float, n: int, constant: float | None = None) -> DimensionPlan:
@@ -107,7 +85,7 @@ def plan_finite_points(epsilon: float, n: int, constant: float | None = None) ->
         f"t = ceil({c:g} * eps^-2 * ln(n*(n-1))) = ceil({raw:.6g}); "
         "per-pair bound union-bounded over all pairs at delta = 1/n"
     )
-    return _plan(raw, "finite-points", note)
+    return _plan(raw, note)
 
 
 def plan_bounded_diameter(
@@ -134,31 +112,5 @@ def plan_bounded_diameter(
         f"t = ceil({c:g} * dim * eps^-2 * ln((dim/eps) * (max(M, e)/delta))) = ceil({raw:.6g}); "
         f"C = {c:g} extrapolated from the per-pair bound, M < 1 clamped to e"
     )
-    return _plan(raw, "bounded-diameter", note)
+    return _plan(raw, note)
 
-
-# Each regime's planner and the request fields it takes after epsilon, in
-# argument order.  Setting any other field is an error, so no report shows
-# an input that its plan did not use.
-_REGIMES = {
-    "per-pair": (plan_per_pair, ("delta",)),
-    "finite-points": (plan_finite_points, ("n",)),
-    "bounded-diameter": (plan_bounded_diameter, ("delta", "dim", "diameter")),
-}
-
-
-def plan(request: DimensionRequest) -> DimensionPlan:
-    """Dispatch a DimensionRequest to the matching planner."""
-    if request.regime not in _REGIMES:
-        raise ValueError(f"unknown regime {request.regime!r}")
-    planner, used = _REGIMES[request.regime]
-    fields = ("delta", "n", "dim", "diameter")
-    unused = [f for f in fields if f not in used and getattr(request, f) is not None]
-    if unused:
-        raise ValueError(f"{request.regime} regime does not use {', '.join(unused)}")
-    args = [getattr(request, f) for f in used]
-    if any(a is None for a in args):
-        *rest, last = used
-        names = f"{', '.join(rest)} and {last}" if rest else last
-        raise ValueError(f"{request.regime} regime requires {names}")
-    return planner(request.epsilon, *args, request.constant_override)

@@ -76,8 +76,8 @@ class TestDims:
 
     def test_missing_field_is_error(self, capsys):
         rc, out, err = run_cli(capsys, "dims", "--regime", "per-pair", "--epsilon", "0.3")
-        assert rc == 2
-        assert "rffkd: error:" in err and "delta" in err
+        assert (rc, out) == (2, "")
+        assert err == "rffkd: error: --delta is required for dims --regime per-pair\n"
 
     def test_unused_field_is_error(self, capsys):
         """finite-points plans at delta = 1/n, so a --delta it would ignore
@@ -87,7 +87,7 @@ class TestDims:
             "--delta", "0.1",
         )
         assert rc == 2 and out == ""
-        assert "rffkd: error: finite-points regime does not use delta" in err
+        assert err == "rffkd: error: --delta does not apply to dims --regime finite-points\n"
 
     def test_output_file(self, tmp_path, capsys):
         dest = tmp_path / "plan.csv"
@@ -152,8 +152,8 @@ class TestEmbed:
         assert emb.shape == (2, 8)
 
     def test_missing_input_is_error(self, capsys):
-        rc, _, err = run_cli(capsys, "embed")
-        assert rc == 2 and "--input is required" in err
+        rc, out, err = run_cli(capsys, "embed")
+        assert (rc, out, err) == (2, "", "rffkd: error: --input is required for embed\n")
 
     def test_malformed_input_is_error(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -295,8 +295,9 @@ class TestGen:
         assert pts.shape == (441, 2)
 
     def test_grid_requires_diameter(self, capsys):
-        rc, _, err = run_cli(capsys, "gen", "--kind", "grid")
-        assert rc == 2 and "--diameter is required" in err
+        rc, out, err = run_cli(capsys, "gen", "--kind", "grid")
+        assert (rc, out) == (2, "")
+        assert err == "rffkd: error: --diameter is required for gen --kind grid\n"
 
     @pytest.mark.parametrize(
         "flag, argv",
@@ -385,6 +386,53 @@ class TestPairs:
         _, rows = parse_csv(out)
         radii = np.array([float(r[1]) for r in rows])
         assert radii.min() >= 0.5 * (1 - 1e-9) and radii.max() <= 2.0 * (1 + 1e-9)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "--dist-min 1e-20 --dist-max 1e-19",
+            "--ball-radius 1e-300 --dist-min 1e300 --dist-max 1e301",
+        ],
+    )
+    def test_collapsed_or_overflowed_distances_refused(self, capsys, argv):
+        """Rows of r = 0 or inf would print ratios of nan or 0 with exit 0."""
+        argv = ["pairs", "--pairs", "4", "--dim", "2", "--t-list", "8", *argv.split()]
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("rffkd: error: pair distances in [dist_min, dist_max]")
+
+
+class TestOutOfRange:
+    """Bandwidths and grid sizes that over- or underflow a double exit 2
+    with a message naming the argument, not with a traceback or NaN output."""
+
+    KPCA = "kpca --synth-n 20 --synth-dim 2 --synth-clusters 2 --k 1 --t-list 4 --trials 1"
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (f"--sigma 1e-200 {KPCA}", "sigma"),
+            (f"--sigma 1e300 {KPCA}", "sigma"),
+            ("--sigma 1e-320 --t 2 embed --input {}", "sigma"),
+            ("--sigma 1e-10 gen --kind grid --diameter 1e308", "diameter"),
+        ],
+    )
+    def test_refused(self, tmp_path, capsys, argv, name):
+        path = tmp_path / "p.csv"
+        path.write_text("1,2\n3,4\n")
+        rc, out, err = run_cli(capsys, *argv.format(path).split())
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"rffkd: error: {name} ")
+
+    @pytest.mark.parametrize("sigma", [2.0**-511, float(np.nextafter(2.0**511, 0.0))])
+    def test_edges_embed_finite(self, tmp_path, capsys, sigma):
+        path = tmp_path / "p.csv"
+        path.write_text("1,2\n3,4\n")
+        argv = ["--sigma", repr(sigma), "--t", "2", "embed", "--input", str(path)]
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        emb = np.loadtxt(io.StringIO(out), delimiter=",", ndmin=2)
+        assert emb.shape == (2, 4) and np.all(np.isfinite(emb))
 
 
 class TestVerify:
@@ -498,7 +546,11 @@ class TestUnreadFlags:
         "argv, message",
         [
             ("--seed 9 dims --regime per-pair --epsilon 0.3 --delta 0.2",
-             "--seed does not apply to dims"),
+             "--seed does not apply to dims --regime per-pair"),
+            ("dims --regime finite-points --epsilon 0.2 --n 20 --delta 0.1",
+             "--delta does not apply to dims --regime finite-points"),
+            ("dims --regime bounded-diameter --epsilon 0.2 --delta 0.1 --dim 2 --diameter 3 --n 5",
+             "--n does not apply to dims --regime bounded-diameter"),
             ("--t 5 kpca --synth-n 20 --synth-dim 3 --k 2 --t-list 8 --trials 1",
              "--t does not apply to kpca without --input"),
             ("kpca --input {} --synth-n 5 --k 2 --t-list 8 --trials 1",
@@ -520,6 +572,25 @@ class TestUnreadFlags:
         write_matrix(path, np.random.default_rng(0).standard_normal((6, 3)))
         dest = tmp_path / "out"
         rc, out, err = run_cli(capsys, *argv.format(path).split(), "--output", str(dest))
+        assert (rc, out, err) == (2, "", f"rffkd: error: {message}\n")
+        assert not dest.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("dims --regime per-pair --epsilon 0.3",
+             "--delta is required for dims --regime per-pair"),
+            ("dims --regime finite-points --epsilon 0.3",
+             "--n is required for dims --regime finite-points"),
+            ("dims --regime bounded-diameter --epsilon 0.3 --delta 0.1 --dim 2",
+             "--diameter is required for dims --regime bounded-diameter"),
+            ("embed", "--input is required for embed"),
+            ("gen --kind grid --dim 2", "--diameter is required for gen --kind grid"),
+        ],
+    )
+    def test_missing_flag_refused_before_output(self, tmp_path, capsys, argv, message):
+        dest = tmp_path / "out"
+        rc, out, err = run_cli(capsys, *argv.split(), "--output", str(dest))
         assert (rc, out, err) == (2, "", f"rffkd: error: {message}\n")
         assert not dest.exists()
 

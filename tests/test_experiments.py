@@ -96,6 +96,21 @@ class TestGenPairs:
         with pytest.raises(ValueError, match="dim"):
             gen_pairs(PairExperimentConfig(), dim=0)
 
+    @pytest.mark.parametrize(
+        "ball_radius, dist_min, dist_max",
+        [
+            (500.0, 1e-20, 1e-19),  # below the anchors' ulp: x + r u == x
+            (1e-300, 1e300, 1e301),  # ||y - x|| overflows
+            (1.0, 1e300, 1.7976931348623157e308),  # r or y itself overflows
+        ],
+    )
+    def test_collapsed_or_overflowed_distances_rejected(self, ball_radius, dist_min, dist_max):
+        cfg = PairExperimentConfig(
+            n_pairs=4, ball_radius=ball_radius, dist_min=dist_min, dist_max=dist_max
+        )
+        with pytest.raises(ValueError, match=r"dist_min, dist_max.*ball_radius"):
+            gen_pairs(cfg, dim=2)
+
 
 class TestPairsExperiment:
     def run_small(self, seed=5):
@@ -201,6 +216,11 @@ class TestGridStress:
             gen_grid_stress(2, 0.0, Bandwidth(1.0), 0.25)
         with pytest.raises(ValueError, match="epsilon"):
             gen_grid_stress(2, 1.0, Bandwidth(1.0), 1.0)
+
+    def test_step_count_overflow_rejected(self):
+        """diameter / step overflows to inf before the floor, not inside it."""
+        with pytest.raises(ValueError, match=r"^diameter 1e\+308 / grid step .* overflows$"):
+            gen_grid_stress(2, 1e308, Bandwidth(1e-10), 0.25)
 
 
 class TestSynthDataset:

@@ -84,6 +84,20 @@ class TestKernelExact:
         with pytest.raises(ValueError):
             Bandwidth(bad)
 
+    @pytest.mark.parametrize(
+        "bad", [np.nextafter(2.0**-511, 0.0), 1e-200, 1e-320, 2.0**511, 1e300]
+    )
+    def test_bandwidth_outside_the_normal_range_rejected(self, bad):
+        """Below 2^-511, sigma^2 is subnormal or zero; from 2^511, it overflows."""
+        with pytest.raises(ValueError, match=r"^sigma must lie in \[1.49167e-154, 6.7039e\+153\)"):
+            Bandwidth(bad)
+
+    @pytest.mark.parametrize("edge", [2.0**-511, np.nextafter(2.0**511, 0.0)])
+    def test_bandwidth_range_edges_accepted(self, edge):
+        sigma = Bandwidth(edge).sigma
+        for value in (sigma, sigma**2, 1.0 / sigma**2):
+            assert math.isfinite(value) and abs(value) >= np.finfo(np.float64).tiny
+
 
 class TestKernelDistance:
     def test_zero_at_identical_points(self):

@@ -1,7 +1,10 @@
 """Feature-count planners: frozen example values recomputed with mpmath,
-closed-form inversions, and monotonicity in every argument.
+closed-form inversions, and monotonicity in every argument; and the regime
+dispatch, which `rffkd dims` does from the CLI's regime table.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -10,14 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from rffkd import (
-    DEFAULT_CONSTANT,
-    DimensionRequest,
-    plan,
-    plan_bounded_diameter,
-    plan_finite_points,
-    plan_per_pair,
-)
+from rffkd import DEFAULT_CONSTANT, plan_bounded_diameter, plan_finite_points, plan_per_pair
+from rffkd.cli import main
 from rffkd.planner import _bounded_diameter_raw, _finite_points_raw, _per_pair_raw
 
 mp.dps = 50
@@ -31,7 +28,6 @@ class TestPerPair:
         got = plan_per_pair(0.3, 0.2)
         assert got.pair_count == 205
         assert got.output_dim == 410
-        assert got.regime == "per-pair"
 
     def test_tight_example(self):
         """eps = 0.1, delta = 0.01 plans 4239 pairs."""
@@ -99,7 +95,6 @@ class TestFinitePoints:
         assert int(mp.ceil(oracle)) == 3041
         got = plan_finite_points(0.2, 2000)
         assert got.pair_count == 3041
-        assert got.regime == "finite-points"
 
     def test_smallest_set(self):
         """n = 2 has a single pair; the count reduces to C eps^-2 ln 2."""
@@ -151,7 +146,6 @@ class TestBoundedDiameter:
         assert int(mp.ceil(oracle)) == 2301
         got = plan_bounded_diameter(0.25, 0.1, dim=2, diameter=100.0)
         assert got.pair_count == 2301
-        assert got.regime == "bounded-diameter"
 
     def test_golden_raw_value(self):
         """At eps = 1/sqrt(8), delta = 1/e, dim = 1, M = e the count collapses
@@ -208,7 +202,7 @@ class TestBoundedDiameter:
             plan_bounded_diameter(0.25, 0.1, dim=2, diameter=m)
 
 
-# Per regime: a complete request's fields, and a value for each field it ignores.
+# Per regime: the flags a complete run gives, and a value for each other regime flag.
 USED = {
     "per-pair": {"delta": 0.2},
     "finite-points": {"n": 2000},
@@ -221,59 +215,87 @@ UNUSED = {
 }
 
 
+def dims(capsys, regime, epsilon, **flags):
+    """rffkd dims: exit code, the report row (None unless exit 0) and stderr."""
+    argv = ["dims", "--regime", regime, "--epsilon", str(epsilon)]
+    for name, value in flags.items():
+        argv += [f"--{name}", str(value)]
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    if rc != 0:
+        assert out == ""
+        return rc, None, err
+    header, row = csv.reader(io.StringIO(out))
+    return rc, dict(zip(header, row)), err
+
+
+def refusal(flag, regime):
+    return f"rffkd: error: --{flag} does not apply to dims --regime {regime}\n"
+
+
 class TestDispatch:
-    def test_per_pair_route(self):
-        req = DimensionRequest(regime="per-pair", epsilon=0.3, delta=0.2)
-        assert plan(req) == plan_per_pair(0.3, 0.2)
+    def test_per_pair_route(self, capsys):
+        _, row, _ = dims(capsys, "per-pair", 0.3, delta=0.2)
+        want = plan_per_pair(0.3, 0.2)
+        assert (row["pair_count"], row["formula_note"]) == (str(want.pair_count), want.formula_note)
 
-    def test_finite_points_route(self):
-        req = DimensionRequest(regime="finite-points", epsilon=0.2, n=2000)
-        assert plan(req) == plan_finite_points(0.2, 2000)
+    def test_finite_points_route(self, capsys):
+        _, row, _ = dims(capsys, "finite-points", 0.2, n=2000)
+        want = plan_finite_points(0.2, 2000)
+        assert (row["pair_count"], row["formula_note"]) == (str(want.pair_count), want.formula_note)
 
-    def test_bounded_diameter_route(self):
-        req = DimensionRequest(
-            regime="bounded-diameter", epsilon=0.25, delta=0.1, dim=2, diameter=100.0
-        )
-        assert plan(req) == plan_bounded_diameter(0.25, 0.1, 2, 100.0)
+    def test_bounded_diameter_route(self, capsys):
+        _, row, _ = dims(capsys, "bounded-diameter", 0.25, delta=0.1, dim=2, diameter=100.0)
+        want = plan_bounded_diameter(0.25, 0.1, 2, 100.0)
+        assert (row["pair_count"], row["formula_note"]) == (str(want.pair_count), want.formula_note)
 
-    def test_constant_override_passes_through(self):
-        req = DimensionRequest(regime="per-pair", epsilon=0.3, delta=0.2, constant_override=4.0)
-        assert plan(req).pair_count == 103
+    def test_constant_override_passes_through(self, capsys):
+        _, row, _ = dims(capsys, "per-pair", 0.3, delta=0.2, constant=4)
+        assert (row["constant"], row["pair_count"]) == ("4", "103")
 
-    def test_missing_fields_rejected(self):
-        with pytest.raises(ValueError, match="requires delta"):
-            plan(DimensionRequest(regime="per-pair", epsilon=0.3))
-        with pytest.raises(ValueError, match="requires n"):
-            plan(DimensionRequest(regime="finite-points", epsilon=0.3))
-        with pytest.raises(ValueError, match="requires delta, dim and diameter"):
-            plan(DimensionRequest(regime="bounded-diameter", epsilon=0.3, delta=0.1))
+    def test_missing_fields_rejected(self, capsys):
+        for regime, given, missing in [
+            ("per-pair", {}, "delta"),
+            ("finite-points", {}, "n"),
+            ("bounded-diameter", {"delta": 0.1}, "dim"),
+            ("bounded-diameter", {"delta": 0.1, "dim": 2}, "diameter"),
+            ("bounded-diameter", {"dim": 2, "diameter": 100.0}, "delta"),
+        ]:
+            rc, _, err = dims(capsys, regime, 0.3, **given)
+            want = f"rffkd: error: --{missing} is required for dims --regime {regime}\n"
+            assert (rc, err) == (2, want)
 
     @pytest.mark.parametrize(
         "regime, field", [(r, f) for r, fields in UNUSED.items() for f in fields]
     )
-    def test_unused_field_rejected(self, regime, field):
-        req = DimensionRequest(
-            regime=regime, epsilon=0.25, **USED[regime], **{field: UNUSED[regime][field]}
-        )
-        with pytest.raises(ValueError, match=f"^{regime} regime does not use {field}$"):
-            plan(req)
+    def test_unused_field_rejected(self, capsys, regime, field):
+        rc, _, err = dims(capsys, regime, 0.25, **USED[regime], **{field: UNUSED[regime][field]})
+        assert (rc, err) == (2, refusal(field, regime))
 
     @pytest.mark.parametrize("regime", list(UNUSED))
-    def test_every_unused_field_is_named(self, regime):
-        req = DimensionRequest(regime=regime, epsilon=0.25, **USED[regime], **UNUSED[regime])
-        with pytest.raises(ValueError) as info:
-            plan(req)
-        assert str(info.value) == f"{regime} regime does not use {', '.join(UNUSED[regime])}"
+    def test_every_unused_field_is_named(self, capsys, regime):
+        """Every regime flag is one that the regime takes or one it refuses;
+        given together, the refused flags are named one at a time, first given first."""
+        assert sorted({*USED[regime], *UNUSED[regime]}) == ["delta", "diameter", "dim", "n"]
+        unused = dict(UNUSED[regime])
+        while unused:
+            rc, _, err = dims(capsys, regime, 0.25, **USED[regime], **unused)
+            first = next(iter(unused))
+            assert (rc, err) == (2, refusal(first, regime))
+            del unused[first]
+        assert dims(capsys, regime, 0.25, **USED[regime])[0] == 0
 
     @pytest.mark.parametrize("field", ["delta", "dim", "diameter"])
-    def test_zero_counts_as_set(self, field):
-        """A field set to 0 is still set: the check is 'is not None', not truthiness."""
-        with pytest.raises(ValueError, match=f"does not use {field}"):
-            plan(DimensionRequest(regime="finite-points", epsilon=0.25, n=10, **{field: 0}))
+    def test_zero_counts_as_set(self, capsys, field):
+        """A flag given as 0 is still given, and refused where it does not apply."""
+        rc, _, err = dims(capsys, "finite-points", 0.25, n=10, **{field: 0})
+        assert (rc, err) == (2, refusal(field, "finite-points"))
 
-    def test_unknown_regime_rejected(self):
-        with pytest.raises(ValueError, match="unknown regime"):
-            plan(DimensionRequest(regime="global", epsilon=0.3, delta=0.2))
+    def test_unknown_regime_rejected(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            dims(capsys, "global", 0.3, delta=0.2)
+        assert info.value.code == 2
+        assert "invalid choice: 'global'" in capsys.readouterr().err
 
     def test_notes_record_the_formula(self):
         note = plan_per_pair(0.3, 0.2).formula_note
