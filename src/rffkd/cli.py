@@ -15,7 +15,7 @@ import os
 import sys
 from contextlib import contextmanager
 
-from .experiments import PairExperimentConfig, gen_grid_stress, pairs_experiment, synth_dataset
+from .experiments import gen_grid_stress, pairs_experiment, synth_dataset
 from .features import FeatureMapSpec, Variant, embed_blocks, sample_map
 from .kernel import Bandwidth, PointSet
 from .kpca import kpca_experiment
@@ -246,19 +246,18 @@ def _cmd_kpca(given) -> int:
 
 
 def _cmd_pairs(given) -> int:
-    cfg = PairExperimentConfig(
-        n_pairs=given.pop("pairs", 2000),
-        ball_radius=given.pop("ball_radius", 500.0),
-        dist_min=given.pop("dist_min", 1e-4),
-        dist_max=given.pop("dist_max", 1e4),
-        sigma=Bandwidth(given.pop("sigma", 1.0)),
-        t_list=_parse_t_list(given.pop("t_list", "50,100,200,400,800")),
-        seed=given.pop("seed", 0),
-        variant=Variant(given.pop("variant", "cossin")),
-    )
-    dim, output = given.pop("dim", 10), given.pop("output", None)
+    n_pairs, dim = given.pop("pairs", 2000), given.pop("dim", 10)
+    ball_radius = given.pop("ball_radius", 500.0)
+    dist_min, dist_max = given.pop("dist_min", 1e-4), given.pop("dist_max", 1e4)
+    variant, sigma = given.pop("variant", "cossin"), given.pop("sigma", 1.0)
+    seed = given.pop("seed", 0)
+    t_list = _parse_t_list(given.pop("t_list", "50,100,200,400,800"))
+    output = given.pop("output", None)
     _refuse_unread(given, "pairs")
-    reports = pairs_experiment(cfg, dim=dim)
+    reports = pairs_experiment(
+        n_pairs, dim, ball_radius, dist_min, dist_max, Bandwidth(sigma), t_list, seed,
+        variant=Variant(variant),
+    )
     columns = ["t", "r", "d_exact", "d_approx", "ratio"]
     rows = (
         [rep.t, rep.radii[i], rep.d_exact[i], rep.d_approx[i], rep.ratios[i]]

@@ -12,7 +12,8 @@ too few features must distort some pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,8 +23,6 @@ from .kernel import Bandwidth, PointSet, distance_from_scaled_norm
 from .streams import check_seed, derive_seed, generator
 
 __all__ = [
-    "PairExperimentConfig",
-    "PairSample",
     "PairExperimentReport",
     "gen_pairs",
     "pairs_experiment",
@@ -34,43 +33,6 @@ __all__ = [
 
 # Desk-scale cap on grid stress sets: dim * point count.
 GRID_SIZE_LIMIT = 100_000
-
-
-@dataclass(frozen=True)
-class PairExperimentConfig:
-    """Pair-experiment parameters; defaults follow the reference protocol."""
-
-    n_pairs: int = 2000
-    ball_radius: float = 500.0
-    dist_min: float = 1e-4
-    dist_max: float = 1e4
-    sigma: Bandwidth = field(default_factory=lambda: Bandwidth(1.0))
-    t_list: tuple[int, ...] = (50, 100, 200, 400, 800)
-    seed: int = 0
-    variant: Variant = Variant.COS_SIN
-
-    def __post_init__(self) -> None:
-        integer("n_pairs", self.n_pairs)
-        real("ball_radius", self.ball_radius, 0.0)
-        dist_min = real("dist_min", self.dist_min, 0.0)
-        if real("dist_max", self.dist_max, 0.0) < dist_min:
-            raise ValueError(
-                f"dist_min must not exceed dist_max, got [{self.dist_min}, {self.dist_max}]"
-            )
-        if len(self.t_list) < 1:
-            raise ValueError(f"t_list must hold integers >= 1, got {self.t_list}")
-        object.__setattr__(self, "t_list", tuple(integer("t_list entry", t) for t in self.t_list))
-        object.__setattr__(self, "seed", check_seed(self.seed))
-        object.__setattr__(self, "variant", Variant(self.variant))
-
-
-@dataclass(frozen=True)
-class PairSample:
-    """Sampled pairs: anchors xs, partners ys, and their distances."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-    radii: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -94,8 +56,10 @@ def _unit_directions(gen: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return vec / norms
 
 
-def gen_pairs(cfg: PairExperimentConfig, dim: int, seed: int | None = None) -> PairSample:
-    """Draw n_pairs (x, y) pairs in R^dim.
+def gen_pairs(
+    n_pairs: int, dim: int, ball_radius: float, dist_min: float, dist_max: float, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw n_pairs (x, y) pairs in R^dim: anchors xs, partners ys, radii.
 
     x is uniform in the ball of radius ball_radius, the pair distance is
     log-uniform on [dist_min, dist_max], and y - x points uniformly on the
@@ -103,58 +67,73 @@ def gen_pairs(cfg: PairExperimentConfig, dim: int, seed: int | None = None) -> P
     ||x - y|| reproduces them exactly.  A distance that rounds to 0 (y == x
     when the pair distance is below x's ulp) or overflows is refused.
     """
+    n = integer("n_pairs", n_pairs)
     dim = integer("dim", dim)
-    gen = generator(cfg.seed if seed is None else seed)
-    n = cfg.n_pairs
+    real("ball_radius", ball_radius, 0.0)
+    lo = real("dist_min", dist_min, 0.0)
+    if real("dist_max", dist_max, 0.0) < lo:
+        raise ValueError(f"dist_min must not exceed dist_max, got [{dist_min}, {dist_max}]")
+    gen = generator(seed)
     xs = _unit_directions(gen, n, dim) * (
-        cfg.ball_radius * gen.random(n) ** (1.0 / dim)
+        ball_radius * gen.random(n) ** (1.0 / dim)
     ).reshape(-1, 1)
     # an overflow here need not warn: the distance it leaves is refused below
     with np.errstate(over="ignore"):
-        radii = np.exp(gen.uniform(math.log(cfg.dist_min), math.log(cfg.dist_max), size=n))
+        radii = np.exp(gen.uniform(math.log(dist_min), math.log(dist_max), size=n))
         ys = xs + radii.reshape(-1, 1) * _unit_directions(gen, n, dim)
         achieved = np.linalg.norm(ys - xs, axis=1)
     if not np.all(np.isfinite(achieved) & (achieved > 0.0)):
         raise ValueError(
-            f"pair distances in [dist_min, dist_max] = [{cfg.dist_min!r}, {cfg.dist_max!r}] "
-            f"vanish or overflow at ball_radius {cfg.ball_radius!r}"
+            f"pair distances in [dist_min, dist_max] = [{dist_min!r}, {dist_max!r}] "
+            f"vanish or overflow at ball_radius {ball_radius!r}"
         )
     for arr in (xs, ys, achieved):
         arr.setflags(write=False)
-    return PairSample(xs=xs, ys=ys, radii=achieved)
+    return xs, ys, achieved
 
 
-def pairs_experiment(cfg: PairExperimentConfig, dim: int = 10) -> list[PairExperimentReport]:
-    """Run the pair experiment for every t in cfg.t_list.
+def pairs_experiment(
+    n_pairs: int,
+    dim: int,
+    ball_radius: float,
+    dist_min: float,
+    dist_max: float,
+    sigma: Bandwidth,
+    t_list: Sequence[int],
+    seed: int,
+    variant: Variant = Variant.COS_SIN,
+) -> list[PairExperimentReport]:
+    """Run the pair experiment for every t in t_list.
 
     Each t gets a fresh pair sample and a fresh map (seeds derived from
-    (cfg.seed, index)).  Ratios are exact distance over embedded distance;
+    (seed, index)).  Ratios are exact distance over embedded distance;
     pairs are distinct by construction so the ratio is always defined.
+    t_list, seed and variant are checked before any of the work, and
+    gen_pairs checks the rest before it draws.
     """
+    if len(t_list) < 1:
+        raise ValueError(f"t_list must hold integers >= 1, got {t_list}")
+    t_list = [integer("t_list entry", t) for t in t_list]
+    seed = check_seed(seed)
+    variant = Variant(variant)
     reports = []
-    sigma = cfg.sigma.sigma
-    for idx, t in enumerate(cfg.t_list):
-        sample = gen_pairs(cfg, dim, seed=derive_seed(cfg.seed, 0, idx))
-        spec = FeatureMapSpec(
-            variant=cfg.variant, sigma=cfg.sigma, size=t, seed=derive_seed(cfg.seed, 1, idx)
+    for idx, t in enumerate(t_list):
+        xs, ys, radii = gen_pairs(
+            n_pairs, dim, ball_radius, dist_min, dist_max, derive_seed(seed, 0, idx)
         )
+        spec = FeatureMapSpec(variant=variant, sigma=sigma, size=t, seed=derive_seed(seed, 1, idx))
         fmap = sample_map(spec, dim)
-        ex = embed(PointSet(sample.xs), fmap).features
-        ey = embed(PointSet(sample.ys), fmap).features
+        ex = embed(PointSet(xs), fmap).features
+        ey = embed(PointSet(ys), fmap).features
         d_approx = np.linalg.norm(ex - ey, axis=1)
-        d_exact = distance_from_scaled_norm(sample.radii / sigma)
+        d_exact = distance_from_scaled_norm(radii / sigma.sigma)
         ratios = d_exact / d_approx
         eps_max = float(np.max(np.abs(ratios - 1.0)))
         for arr in (d_exact, d_approx, ratios):
             arr.setflags(write=False)
         reports.append(
             PairExperimentReport(
-                t=t,
-                radii=sample.radii,
-                d_exact=d_exact,
-                d_approx=d_approx,
-                ratios=ratios,
-                eps_max=eps_max,
+                t=t, radii=radii, d_exact=d_exact, d_approx=d_approx, ratios=ratios, eps_max=eps_max
             )
         )
     return reports

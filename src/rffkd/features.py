@@ -163,9 +163,21 @@ def _trig_rows(proj: np.ndarray, fmap: FeatureMap, out: np.ndarray) -> np.ndarra
     return out
 
 
-def _check_dims(points: PointSet, fmap: FeatureMap) -> None:
+def _check_points(points: PointSet, fmap: FeatureMap) -> None:
+    """Refuse points of another dimension, or large enough that the
+    projection could overflow.  dim * max|x| * max|omega| bounds every
+    partial sum of <omega_i, x>; it is formed from four reductions as Python
+    floats, so it makes no input-sized temporary and an overflow is inf."""
     if points.dim != fmap.dim:
         raise ValueError(f"dimension mismatch: points have dim {points.dim}, map has dim {fmap.dim}")
+    data, freq = points.data, fmap.frequencies
+    x_max = max(float(data.max()), -float(data.min()))
+    bound = points.dim * x_max * max(float(freq.max()), -float(freq.min()))
+    if not bound < 2.0**1023:
+        raise ValueError(
+            f"points of magnitude up to {x_max!r} can overflow the projection at sigma "
+            f"{fmap.spec.sigma.sigma!r}: dim * max|x| * max|omega| = {bound!r} is not below 2^1023"
+        )
 
 
 def _pipeline(points: PointSet, fmap: FeatureMap, out: np.ndarray | None = None):
@@ -196,7 +208,7 @@ def embed(points: PointSet, fmap: FeatureMap) -> Embedding:
     The features are a fresh array that the caller owns, as embed_blocks'
     blocks are, so it may work on them in place.
     """
-    _check_dims(points, fmap)
+    _check_points(points, fmap)
     out = np.empty((points.n, fmap.spec.output_dim))
     for _ in _pipeline(points, fmap, out):
         pass
@@ -206,9 +218,9 @@ def embed(points: PointSet, fmap: FeatureMap) -> Embedding:
 def embed_blocks(points: PointSet, fmap: FeatureMap):
     """The rows of embed(points, fmap).features, as fresh consecutive row blocks.
 
-    The dimension check runs at the call, before any block is made.
+    The checks on the points run at the call, before any block is made.
     """
-    _check_dims(points, fmap)
+    _check_points(points, fmap)
     return _pipeline(points, fmap)
 
 

@@ -86,7 +86,10 @@ def gram_exact(points: PointSet, sigma: Bandwidth) -> GramMatrix:
     norms = np.einsum("ij,ij->i", x, x)
     sq = norms[:, None] + norms[None, :] - 2.0 * (x @ x.T)
     np.maximum(sq, 0.0, out=sq)
-    g = np.exp(sq * (-0.5 / sigma.sigma**2))
+    # at the smallest bandwidths the exponent of far pairs overflows to -inf,
+    # whose exp is the correct 0, so that overflow need not warn
+    with np.errstate(over="ignore"):
+        g = np.exp(sq * (-0.5 / sigma.sigma**2))
     g = 0.5 * (g + g.T)
     np.fill_diagonal(g, 1.0)
     g.setflags(write=False)

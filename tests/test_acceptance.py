@@ -28,7 +28,6 @@ import numpy as np
 from rffkd import (
     Bandwidth,
     FeatureMapSpec,
-    PairExperimentConfig,
     PointSet,
     ScaledDiff,
     Variant,
@@ -188,8 +187,9 @@ def test_08_error_scaling_in_feature_count():
     [2.5, 6.5] around the ideal 4."""
     ratios = []
     for rep_i in range(5):
-        cfg = PairExperimentConfig(t_list=(100, 1600), seed=derive_seed(42, rep_i))
-        reports = pairs_experiment(cfg, dim=10)
+        reports = pairs_experiment(
+            2000, 10, 500.0, 1e-4, 1e4, Bandwidth(1.0), (100, 1600), derive_seed(42, rep_i)
+        )
         ratios.append(reports[0].eps_max / reports[1].eps_max)
     med = float(np.median(ratios))
     report(

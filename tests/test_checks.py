@@ -16,7 +16,6 @@ import pytest
 from rffkd import (
     Bandwidth,
     FeatureMapSpec,
-    PairExperimentConfig,
     PointSet,
     ScaledDiff,
     Variant,
@@ -33,6 +32,7 @@ from rffkd import (
     gen_pairs,
     gram_exact,
     kpca_experiment,
+    pairs_experiment,
     plan_bounded_diameter,
     plan_finite_points,
     plan_per_pair,
@@ -47,7 +47,6 @@ SIGMA = Bandwidth(1.0)
 SPEC = FeatureMapSpec(Variant.COS_SIN, SIGMA, 4, 0)
 POINTS = PointSet(np.random.default_rng(0).standard_normal((8, 2)))
 CENTERED = center_gram(gram_exact(POINTS, SIGMA))
-CFG = PairExperimentConfig(n_pairs=4)
 
 # site: (argument name, call with the value in that argument's place).
 # Each call succeeds when the value is 3.
@@ -64,10 +63,16 @@ COUNTS = {
     "kpca_experiment.t": ("t_list entry", lambda v: kpca_experiment(POINTS, SIGMA, 1, [v], 1, 0)),
     "kpca_experiment.trials": ("trials", lambda v: kpca_experiment(POINTS, SIGMA, 1, [4], v, 0)),
     "kpca_experiment.seed": ("seed", lambda v: kpca_experiment(POINTS, SIGMA, 1, [4], 1, v)),
-    "PairExperimentConfig.n_pairs": ("n_pairs", lambda v: PairExperimentConfig(n_pairs=v)),
-    "PairExperimentConfig.t_list": ("t_list entry", lambda v: PairExperimentConfig(t_list=(v,))),
-    "PairExperimentConfig.seed": ("seed", lambda v: PairExperimentConfig(seed=v)),
-    "gen_pairs.dim": ("dim", lambda v: gen_pairs(CFG, v)),
+    # The pair experiment's entries keep the labels they had when a config
+    # class took its arguments, so that their test IDs stay as they were.
+    "PairExperimentConfig.n_pairs": ("n_pairs", lambda v: gen_pairs(v, 2, 1.0, 0.5, 2.0, 0)),
+    "PairExperimentConfig.t_list": (
+        "t_list entry", lambda v: pairs_experiment(4, 2, 1.0, 0.5, 2.0, SIGMA, (4, v), 0)
+    ),
+    "PairExperimentConfig.seed": (
+        "seed", lambda v: pairs_experiment(4, 2, 1.0, 0.5, 2.0, SIGMA, (4,), v)
+    ),
+    "gen_pairs.dim": ("dim", lambda v: gen_pairs(4, v, 1.0, 0.5, 2.0, 0)),
     "gen_grid_stress.dim": ("dim", lambda v: gen_grid_stress(v, 1.0, SIGMA, 0.25)),
     "synth_dataset.n": ("n", lambda v: synth_dataset(v, 2, 1, 0)),
     "synth_dataset.dim": ("dim", lambda v: synth_dataset(5, v, 2, 0)),
@@ -89,10 +94,10 @@ COUNTS = {
 REALS = {
     "Bandwidth.sigma": ("sigma", Bandwidth, 1.5),
     "PairExperimentConfig.ball_radius": (
-        "ball_radius", lambda v: PairExperimentConfig(ball_radius=v), 10.0
+        "ball_radius", lambda v: gen_pairs(4, 2, v, 0.5, 2.0, 0), 10.0
     ),
-    "PairExperimentConfig.dist_min": ("dist_min", lambda v: PairExperimentConfig(dist_min=v), 1e-3),
-    "PairExperimentConfig.dist_max": ("dist_max", lambda v: PairExperimentConfig(dist_max=v), 1e3),
+    "PairExperimentConfig.dist_min": ("dist_min", lambda v: gen_pairs(4, 2, 1.0, v, 2.0, 0), 1e-3),
+    "PairExperimentConfig.dist_max": ("dist_max", lambda v: gen_pairs(4, 2, 1.0, 0.5, v, 0), 1e3),
     "gen_grid_stress.diameter": ("diameter", lambda v: gen_grid_stress(2, v, SIGMA, 0.25), 1.0),
     "gen_grid_stress.epsilon": ("epsilon", lambda v: gen_grid_stress(2, 1.0, SIGMA, v), 0.25),
     "synth_dataset.center_spread": (

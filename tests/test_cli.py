@@ -435,6 +435,34 @@ class TestOutOfRange:
         assert emb.shape == (2, 4) and np.all(np.isfinite(emb))
 
 
+    def test_projection_overflow_refused_before_output(self, tmp_path, capsys):
+        """Finite input whose projection can overflow would print NaN features."""
+        path, dest = tmp_path / "p.csv", tmp_path / "out.csv"
+        path.write_text("1.7e308,1.7e308\n0,0\n")
+        for output in ([], ["--output", str(dest)]):
+            rc, out, err = run_cli(capsys, "--t", "3", "embed", "--input", str(path), *output)
+            assert (rc, out) == (2, "")
+            assert err.startswith("rffkd: error: points of magnitude up to 1.7e+308 ")
+        assert not dest.exists()
+
+    def test_large_points_below_the_bound_embed_finite(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text("1e300,1e300\n0,0\n")
+        rc, out, err = run_cli(capsys, "--t", "3", "embed", "--input", str(path))
+        assert (rc, err) == (0, "")
+        emb = np.loadtxt(io.StringIO(out), delimiter=",", ndmin=2)
+        assert emb.shape == (2, 6) and np.all(np.isfinite(emb))
+
+    def test_smallest_sigma_kpca_runs_quietly(self, capsys):
+        """The exact Gram's exponents overflow to -inf at sigma = 2^-511; the
+        run neither warns (the suite turns warnings into errors) nor fails."""
+        argv = ["--sigma", repr(2.0**-511), *self.KPCA.split()]
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, err) == (0, "")
+        header, rows = parse_csv(out)
+        assert header[:2] == ["sigma", "t"] and len(rows) == 1
+
+
 class TestVerify:
     def test_all_pass_exit_zero(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--samples", "20000")

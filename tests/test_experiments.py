@@ -9,10 +9,12 @@ import pytest
 from scipy import stats
 from scipy.spatial.distance import pdist
 
+import rffkd.cli
+import rffkd.experiments
 from rffkd import (
     GRID_SIZE_LIMIT,
     Bandwidth,
-    PairExperimentConfig,
+    Variant,
     distance_from_scaled_norm,
     gen_grid_stress,
     gen_pairs,
@@ -22,79 +24,149 @@ from rffkd import (
 from rffkd.streams import generator
 
 
+# The helpers default to the reference protocol's geometry, as the CLI's
+# defaults give it: a radius-500 ball, distances spanning 1e-4 to 1e4.
+def pairs(n_pairs, dim, seed, ball_radius=500.0, dist_min=1e-4, dist_max=1e4):
+    return gen_pairs(n_pairs, dim, ball_radius, dist_min, dist_max, seed)
+
+
+def experiment(n_pairs, dim, t_list, seed, ball_radius=500.0, dist_min=1e-4, dist_max=1e4):
+    return pairs_experiment(
+        n_pairs, dim, ball_radius, dist_min, dist_max, Bandwidth(1.0), t_list, seed
+    )
+
+
 class TestPairConfig:
-    def test_reference_defaults(self):
-        """The default protocol: 2000 pairs in a radius-500 ball, distances
-        spanning 1e-4 to 1e4, t sweep 50..800."""
-        cfg = PairExperimentConfig()
-        assert cfg.n_pairs == 2000
-        assert cfg.ball_radius == 500.0
-        assert (cfg.dist_min, cfg.dist_max) == (1e-4, 1e4)
-        assert cfg.t_list == (50, 100, 200, 400, 800)
-        assert cfg.sigma.sigma == 1.0
+    def test_reference_defaults(self, monkeypatch):
+        """The default protocol: 2000 pairs in dim 10 in a radius-500 ball,
+        distances spanning 1e-4 to 1e4, t sweep 50..800, sigma 1, seed 0,
+        CosSin.  The CLI holds these defaults and hands them over as given."""
+        calls = []
+        monkeypatch.setattr(
+            rffkd.cli, "pairs_experiment", lambda *args, **kw: calls.append((args, kw)) or []
+        )
+        assert rffkd.cli.main(["pairs"]) == 0
+        [(args, kwargs)] = calls
+        n_pairs, dim, ball_radius, dist_min, dist_max, sigma, t_list, seed = args
+        assert (n_pairs, dim, ball_radius, dist_min, dist_max) == (2000, 10, 500.0, 1e-4, 1e4)
+        assert sigma.sigma == 1.0
+        assert tuple(t_list) == (50, 100, 200, 400, 800)
+        assert seed == 0 and kwargs == {"variant": Variant.COS_SIN}
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n_pairs"):
-            PairExperimentConfig(n_pairs=0)
+            pairs(0, 2, 0)
         with pytest.raises(ValueError, match="ball_radius"):
-            PairExperimentConfig(ball_radius=0.0)
+            pairs(4, 2, 0, ball_radius=0.0)
+        with pytest.raises(ValueError, match=r"^dist_min must not exceed dist_max, got \[2.0, 1.0"):
+            pairs(4, 2, 0, dist_min=2.0, dist_max=1.0)
         with pytest.raises(ValueError, match="dist_min"):
-            PairExperimentConfig(dist_min=2.0, dist_max=1.0)
-        with pytest.raises(ValueError, match="dist_min"):
-            PairExperimentConfig(dist_min=0.0)
+            pairs(4, 2, 0, dist_min=0.0)
         with pytest.raises(ValueError, match="t_list"):
-            PairExperimentConfig(t_list=())
+            experiment(4, 2, (), 0)
         with pytest.raises(ValueError, match="t_list"):
-            PairExperimentConfig(t_list=(50, 0))
+            experiment(4, 2, (50, 0), 0)
         with pytest.raises(ValueError, match="seed"):
-            PairExperimentConfig(seed=-1)
+            experiment(4, 2, (50,), -1)
+        with pytest.raises(ValueError, match="seed"):
+            pairs(4, 2, -1)
+        with pytest.raises(ValueError, match="cossine"):
+            pairs_experiment(4, 2, 1.0, 1.0, 2.0, Bandwidth(1.0), (8,), 0, variant="cossine")
+
+
+class TestRefusedBeforeWork:
+    """Each bad argument of the pair experiment is refused before any map is
+    sampled and before any pair is drawn; a list argument carries its bad
+    value last, after entries that would start the work."""
+
+    GOOD = dict(
+        n_pairs=4, dim=2, ball_radius=1.0, dist_min=0.5, dist_max=2.0,
+        sigma=Bandwidth(1.0), t_list=(8, 16), seed=0, variant=Variant.COS_SIN,
+    )
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("n_pairs", 0),
+            ("n_pairs", 2.5),
+            ("dim", 0),
+            ("ball_radius", 0.0),
+            ("ball_radius", math.nan),
+            ("dist_min", 0.0),
+            ("dist_min", 4.0),
+            ("dist_max", math.inf),
+            ("t_list", ()),
+            ("t_list", (50, 0)),
+            ("t_list", (50, 2.0)),
+            ("seed", -1),
+            ("seed", True),
+            ("variant", "cossine"),
+        ],
+    )
+    def test_refused_before_any_draw(self, monkeypatch, name, bad):
+        work = []
+        real_sample_map, real_generator = rffkd.experiments.sample_map, rffkd.experiments.generator
+
+        def counted_sample_map(*args):
+            work.append("sample_map")
+            return real_sample_map(*args)
+
+        def counted_generator(seed):
+            work.append("generator")
+            return real_generator(seed)
+
+        monkeypatch.setattr(rffkd.experiments, "sample_map", counted_sample_map)
+        monkeypatch.setattr(rffkd.experiments, "generator", counted_generator)
+        args = dict(self.GOOD)
+        rffkd.experiments.pairs_experiment(**args)
+        assert work == ["generator", "sample_map"] * 2
+        work.clear()
+        args[name] = bad
+        with pytest.raises(ValueError):
+            rffkd.experiments.pairs_experiment(**args)
+        assert work == []
 
 
 class TestGenPairs:
     def test_recorded_radii_are_achieved_distances(self):
         """The radii field holds the exact float distance of each pair, so
         recomputation from the points is bit-identical."""
-        cfg = PairExperimentConfig(n_pairs=500, seed=1)
-        s = gen_pairs(cfg, dim=6)
-        np.testing.assert_array_equal(np.linalg.norm(s.ys - s.xs, axis=1), s.radii)
+        xs, ys, radii = pairs(500, 6, seed=1)
+        np.testing.assert_array_equal(np.linalg.norm(ys - xs, axis=1), radii)
 
     def test_radii_span_the_requested_range(self):
-        cfg = PairExperimentConfig(n_pairs=5000, seed=2)
-        s = gen_pairs(cfg, dim=4)
-        assert np.all(s.radii >= cfg.dist_min * (1 - 1e-9))
-        assert np.all(s.radii <= cfg.dist_max * (1 + 1e-9))
+        _, _, radii = pairs(5000, 4, seed=2)
+        assert np.all(radii >= 1e-4 * (1 - 1e-9))
+        assert np.all(radii <= 1e4 * (1 + 1e-9))
         # eight decades requested; the sample should cover most of them
-        assert s.radii.min() < 1e-3 and s.radii.max() > 1e3
+        assert radii.min() < 1e-3 and radii.max() > 1e3
 
     def test_anchors_stay_in_ball(self):
-        cfg = PairExperimentConfig(n_pairs=2000, seed=3)
-        s = gen_pairs(cfg, dim=5)
-        assert float(np.linalg.norm(s.xs, axis=1).max()) <= cfg.ball_radius * (1 + 1e-12)
+        xs, _, _ = pairs(2000, 5, seed=3)
+        assert float(np.linalg.norm(xs, axis=1).max()) <= 500.0 * (1 + 1e-12)
 
     def test_log_radii_are_uniform(self):
         """Kolmogorov-Smirnov on the rescaled log radii against U(0, 1)."""
-        cfg = PairExperimentConfig(n_pairs=100_000, seed=0)
-        s = gen_pairs(cfg, dim=3)
-        span = math.log(cfg.dist_max) - math.log(cfg.dist_min)
-        u = (np.log(s.radii) - math.log(cfg.dist_min)) / span
+        _, _, radii = pairs(100_000, 3, seed=0)
+        span = math.log(1e4) - math.log(1e-4)
+        u = (np.log(radii) - math.log(1e-4)) / span
         assert stats.kstest(u, "uniform").pvalue > 0.01
 
     def test_degenerate_distance_range(self):
-        cfg = PairExperimentConfig(n_pairs=50, dist_min=2.0, dist_max=2.0, seed=4)
-        s = gen_pairs(cfg, dim=3)
-        np.testing.assert_allclose(s.radii, 2.0, rtol=1e-12)
+        _, _, radii = pairs(50, 3, seed=4, dist_min=2.0, dist_max=2.0)
+        np.testing.assert_allclose(radii, 2.0, rtol=1e-12)
 
     def test_deterministic_and_seed_override(self):
-        cfg = PairExperimentConfig(n_pairs=20, seed=5)
-        a = gen_pairs(cfg, dim=3)
-        b = gen_pairs(cfg, dim=3)
-        np.testing.assert_array_equal(a.xs, b.xs)
-        c = gen_pairs(cfg, dim=3, seed=99)
-        assert not np.array_equal(a.xs, c.xs)
+        """The seed alone fixes the draw, and another seed changes it."""
+        a, _, _ = pairs(20, 3, seed=5)
+        b, _, _ = pairs(20, 3, seed=5)
+        np.testing.assert_array_equal(a, b)
+        c, _, _ = pairs(20, 3, seed=99)
+        assert not np.array_equal(a, c)
 
     def test_bad_dim_rejected(self):
         with pytest.raises(ValueError, match="dim"):
-            gen_pairs(PairExperimentConfig(), dim=0)
+            pairs(2000, 0, seed=0)
 
     @pytest.mark.parametrize(
         "ball_radius, dist_min, dist_max",
@@ -105,46 +177,39 @@ class TestGenPairs:
         ],
     )
     def test_collapsed_or_overflowed_distances_rejected(self, ball_radius, dist_min, dist_max):
-        cfg = PairExperimentConfig(
-            n_pairs=4, ball_radius=ball_radius, dist_min=dist_min, dist_max=dist_max
-        )
         with pytest.raises(ValueError, match=r"dist_min, dist_max.*ball_radius"):
-            gen_pairs(cfg, dim=2)
+            gen_pairs(4, 2, ball_radius, dist_min, dist_max, 0)
 
 
 class TestPairsExperiment:
     def run_small(self, seed=5):
-        cfg = PairExperimentConfig(n_pairs=100, t_list=(30, 60), seed=seed)
-        return cfg, pairs_experiment(cfg, dim=4)
+        return experiment(100, 4, (30, 60), seed)
 
     def test_report_shape_and_consistency(self):
-        cfg, reports = self.run_small()
+        reports = self.run_small()
         assert [r.t for r in reports] == [30, 60]
         for rep in reports:
             assert rep.radii.shape == (100,)
             np.testing.assert_array_equal(rep.ratios, rep.d_exact / rep.d_approx)
             assert rep.eps_max == float(np.max(np.abs(rep.ratios - 1.0)))
-            want = distance_from_scaled_norm(rep.radii / cfg.sigma.sigma)
+            want = distance_from_scaled_norm(rep.radii)  # sigma 1
             np.testing.assert_array_equal(rep.d_exact, want)
             assert np.all(rep.d_approx > 0)
 
     def test_fresh_points_per_feature_count(self):
-        _, reports = self.run_small()
+        reports = self.run_small()
         assert not np.array_equal(reports[0].radii, reports[1].radii)
 
     def test_deterministic(self):
-        _, a = self.run_small()
-        _, b = self.run_small()
+        a = self.run_small()
+        b = self.run_small()
         for ra, rb in zip(a, b):
             np.testing.assert_array_equal(ra.ratios, rb.ratios)
 
     def test_tiny_distances_stay_finite_and_tight(self):
         """Pairs six decades below the bandwidth still give finite ratios
         close to one; the stable evaluation does not blow up."""
-        cfg = PairExperimentConfig(
-            n_pairs=200, dist_min=1e-6, dist_max=1e-5, t_list=(100,), seed=6
-        )
-        rep = pairs_experiment(cfg, dim=4)[0]
+        rep = experiment(200, 4, (100,), 6, dist_min=1e-6, dist_max=1e-5)[0]
         assert np.all(np.isfinite(rep.ratios))
         assert rep.eps_max <= 0.5
 
@@ -152,8 +217,7 @@ class TestPairsExperiment:
         """Distances far below the bandwidth see systematically larger
         relative deviation than distances far above it (the small-distance
         ratio carries the full mean-squared-projection noise)."""
-        cfg = PairExperimentConfig(n_pairs=2000, t_list=(100,), seed=11)
-        rep = pairs_experiment(cfg, dim=10)[0]
+        rep = experiment(2000, 10, (100,), 11)[0]
         dev = np.abs(rep.ratios - 1.0)
         small = dev[rep.radii < 1e-2]
         large = dev[rep.radii > 1e2]

@@ -432,6 +432,39 @@ class TestEmbedBlocks:
             embed_blocks(PointSet(np.zeros((1, 3))), sample_map(cossin_spec(), 4))
 
 
+class TestProjectionOverflow:
+    """embed and embed_blocks refuse, at the call, points for which
+    dim * max|x| * max|omega| is not below 2^1023, the bound on every partial
+    sum of <omega_i, x>; below it the features are finite."""
+
+    def fmap(self, variant, size=3):
+        return sample_map(FeatureMapSpec(variant, Bandwidth(1.0), size, 0), 2)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("run", [embed, embed_blocks])
+    @pytest.mark.parametrize("big", [1.7e308, -1.7e308])
+    def test_refused_at_call(self, run, variant, big):
+        points = PointSet(np.array([[big, big], [0.0, 0.0]]))
+        message = r"^points of magnitude up to 1\.7e\+308 .* at sigma 1\.0:"
+        with pytest.raises(ValueError, match=message):
+            run(points, self.fmap(variant))
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_large_points_below_the_bound_embed_finite(self, variant):
+        points = PointSet(np.array([[1e300, -1e300], [0.0, 0.0]]))
+        feats = embed(points, self.fmap(variant)).features
+        assert np.all(np.isfinite(feats))
+
+    def test_threshold_is_the_bound(self):
+        """Just below dim * max|x| * max|omega| = 2^1023 is embedded, just
+        above is refused."""
+        fmap = self.fmap(Variant.COS_SIN, size=64)
+        edge = 2.0**1022 / float(np.abs(fmap.frequencies).max())
+        embed(PointSet(np.array([[0.999 * edge, 0.0]])), fmap)
+        with pytest.raises(ValueError, match="not below 2\\^1023"):
+            embed(PointSet(np.array([[1.001 * edge, 0.0]])), fmap)
+
+
 @pytest.fixture(params=[1, 64], ids=["1cpu", "64cpus"])
 def cpus(request, take_pool):
     """The usable CPU count the process reports: 1 with the serial loop, 64

@@ -107,6 +107,13 @@ class TestGramExact:
         np.fill_diagonal(g, 1.0)
         assert gram_error_vs_mpmath(g, x, 0.01) > 1e-12
 
+    def test_smallest_bandwidth_is_quiet_and_exact(self):
+        """At sigma = 2^-511 the exponents of distinct pairs overflow to -inf;
+        their kernel is the correct 0, with no warning (the suite turns
+        warnings into errors)."""
+        g = gram_exact(small_points(20, 2), Bandwidth(2.0**-511)).g
+        np.testing.assert_array_equal(g, np.eye(20))
+
     def test_marked_uncentered_and_readonly(self):
         gram = gram_exact(small_points(), Bandwidth(1.0))
         assert not gram.centered
