@@ -242,6 +242,12 @@ def _cmd_kpca(given) -> int:
     columns = ["sigma", "t", "k", "R_exact", "R_approx", "rel_err"]
     rows = [[r.sigma, r.t, r.k, r.r_exact, r.r_approx, r.rel_err] for r in reports]
     _write_report_csv(output, columns, rows)
+    if reports[0].r_exact == 0.0:
+        print(
+            f"rffkd: note: rel_err is nan because the exact tail energy R_exact is 0 at"
+            f" k = {k} and sigma = {sigma!r}, so no relative error exists",
+            file=sys.stderr,
+        )
     return 0
 
 

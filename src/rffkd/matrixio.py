@@ -80,13 +80,29 @@ def _opened(src, mode: str):
         yield src
 
 
-# Values in one CSV formatting job.  The pool formats WORKERS jobs at once
-# while the caller writes the text of the one before; a job's temporaries
-# peak near 150 bytes a value under tracemalloc.  From spawn to exit, the
-# benchmark's embed-csv command ran as fast with 6144 as with 8192, for 1 MB
-# less peak RSS, and about 5% slower with 4096 (2-vCPU Xeon, one OpenBLAS
-# thread).
-_CSV_JOB_VALUES = 6144
+# Values in one CSV formatting job, and the jobs submitted ahead of the one
+# being written.  A job costs a thread handoff and some 60 numpy calls
+# whatever its size, and while it runs its temporaries peak near 150 bytes a
+# value under tracemalloc.  A job not yet run is a view of its block and a
+# finished one holds its text, so the depth mostly sets how much work the
+# pool has while the calling thread draws the next embed block: 6 ms at the
+# shape below, where a 7-row job takes 1.5 ms on one thread.  In-process
+# `rffkd embed` at the benchmark's embed-csv shape (600 x 256 in, t = 800,
+# 1600 columns out), median seconds of 20 alternating rounds, and the
+# child's VmHWM from spawn to exit (2-vCPU Xeon, one OpenBLAS thread):
+#
+#   values   WORKERS ahead   2 * WORKERS     4 * WORKERS
+#    6144    0.392  47.0 MB  0.366  47.4 MB  0.357  48.1 MB
+#    8192    0.327  48.2 MB  0.300  48.6 MB  0.287  49.4 MB
+#   12288    0.304  49.3 MB  0.278  49.7 MB  0.275  50.4 MB
+#   16384    0.281  50.7 MB  0.257  51.3 MB  0.257  52.2 MB
+#   32768    0.313  55.1 MB  0.270  56.3 MB  0.257  56.6 MB
+#
+# `rffkd gen` (2000 x 256) took 0.137 s at 6144 and WORKERS, 0.097 s here.
+# Larger jobs were a few percent faster still, for 2 to 6 MB more; in 30
+# paired rounds at 12288, four times WORKERS ahead beat twice in 22.
+_CSV_JOB_VALUES = 12288
+_CSV_AHEAD = 4 * WORKERS
 
 
 def _write_csv_blocks(dest, blocks, shape) -> None:
@@ -101,7 +117,7 @@ def _write_csv_blocks(dest, blocks, shape) -> None:
         for start in range(0, block.shape[0], rows)
     )
     with _opened(dest, "w") as out:
-        for text in in_order(jobs, WORKERS if n > rows else 0):
+        for text in in_order(jobs, _CSV_AHEAD if n > rows else 0):
             out.write(text)
 
 
@@ -179,8 +195,8 @@ def write_blocks(dest, blocks, shape, fmt: str = "csv") -> None:
     """Write an n x d matrix, given as an iterable of row blocks, in the named format.
 
     Blocks are drawn as they are written: only the block being written, and
-    for CSV the rows of the WORKERS formatting jobs ahead of it, need to be
-    in memory.  ValueError if the blocks do not stack into exactly the
+    for CSV the rows of the 4 * WORKERS formatting jobs ahead of it, need to
+    be in memory.  ValueError if the blocks do not stack into exactly the
     declared shape (n, d), if it is empty, or if an entry is not an integer.
     """
     n, d = (integer("shape entry", v, minimum=0) for v in shape)

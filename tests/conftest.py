@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 
+import concurrent.futures
 import os
 import sys
 
@@ -32,3 +33,22 @@ def take_pool(monkeypatch, report_cpus):
         monkeypatch.setattr(rffkd.features, "_POOL_MIN_BLOCKS", 2 if cpus > 1 else sys.maxsize)
 
     return take
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every thread pool that in_order builds, each counting its submissions."""
+    made = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            self.submitted = 0
+            made.append(self)
+
+        def submit(self, *args, **kwargs):
+            self.submitted += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    return made

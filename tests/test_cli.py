@@ -347,6 +347,27 @@ class TestKpca:
         rc, _, err = run_cli(capsys, "kpca", "--synth-n", "20", "--synth-dim", "3", "--t-list", "a,b")
         assert rc == 2 and "--t-list" in err
 
+    @pytest.mark.parametrize("sigma, note", [("1e100", True), ("1.5", False)])
+    def test_nan_rel_err_is_explained_on_stderr(self, capsys, sigma, note):
+        """At sigma = 1e100 the exact tail energy is 0 and rel_err is nan:
+        one stderr line says why, and the report and exit code are as
+        without it.  A run with a relative error prints nothing there."""
+        rc, out, err = run_cli(
+            capsys, "--sigma", sigma, "kpca", "--synth-n", "20", "--synth-dim", "2",
+            "--synth-clusters", "2", "--k", "1", "--t-list", "4", "--trials", "1",
+        )
+        assert rc == 0
+        header, rows = parse_csv(out)
+        assert len(rows) == 1 and (rows[0][3] == "0") == note and (rows[0][5] == "nan") == note
+        if note:
+            assert out.startswith("sigma,t,k,R_exact,R_approx,rel_err\n1e+100,4,1,0,5.57")
+            assert err == (
+                "rffkd: note: rel_err is nan because the exact tail energy R_exact is 0"
+                " at k = 1 and sigma = 1e+100, so no relative error exists\n"
+            )
+        else:
+            assert err == ""
+
 
 @pytest.mark.parametrize(
     "command",

@@ -5,7 +5,6 @@ distributions, both embedding variants, and the projection identities that
 reduce pairwise embedded quantities to standard normal scalars.
 """
 
-import concurrent.futures
 import math
 import threading
 import time
@@ -471,25 +470,6 @@ def cpus(request, take_pool):
     with the pool."""
     take_pool(request.param)
     return request.param
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """Every thread pool the pipeline builds, each counting its submissions."""
-    made = []
-
-    class CountingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            super().__init__(max_workers=max_workers)
-            self.submitted = 0
-            made.append(self)
-
-        def submit(self, *args, **kwargs):
-            self.submitted += 1
-            return super().submit(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-    return made
 
 
 def block_ranks(points, fmap):

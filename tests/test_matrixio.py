@@ -17,6 +17,7 @@ import pytest
 import rffkd._csvtext
 import rffkd.matrixio
 from rffkd import MatrixFormatError, PointSet, read_matrix, write_matrix
+from rffkd._pool import WORKERS
 from rffkd.matrixio import FORMATS, MAGIC, write_blocks
 
 
@@ -32,6 +33,21 @@ def awkward_matrix():
     a[3, 0] = -1e-300
     a[4, 1] = 9.87654321987654321e299
     return a
+
+
+def mixed_matrix(n, d):
+    """n x d values over 24 decades, most in %g's fixed notation, with
+    zeros, a subnormal, tiny, huge and non-finite values among them."""
+    rng = np.random.default_rng([n, d])
+    a = rng.standard_normal(n * d) * 10.0 ** rng.integers(-6, 18, size=n * d)
+    special = [0.0, -0.0, 5e-324, -1e-5, 1e16, -1e300, np.inf, -np.inf, np.nan, 1.0 / 3.0]
+    at = rng.choice(n * d, size=min(n * d, 3 * len(special)), replace=False)
+    a[at] = np.resize(special, at.size)
+    return a.reshape(n, d)
+
+
+def csv_lines(a):
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in a.tolist())
 
 
 class TestCsv:
@@ -259,10 +275,51 @@ class TestWriteBlocks:
         monkeypatch.setattr(rffkd._csvtext, "csv_text", slow_early_rows)
         buf = io.StringIO()
         write_blocks(buf, [a[:3], a[3:]], a.shape)
-        assert buf.getvalue() == "".join(
-            ",".join("%.17g" % v for v in row) + "\n" for row in a.tolist()
-        )
+        assert buf.getvalue() == csv_lines(a)
         assert threading.main_thread() not in threads
+
+    def test_at_most_eight_jobs_in_flight(self, monkeypatch, pools):
+        """4 * WORKERS formatting jobs submitted ahead of the text being
+        written, never more, on a pool of WORKERS threads: what the jobs in
+        flight hold cannot grow unseen."""
+        a = np.random.default_rng(5).standard_normal((12, 3))
+        monkeypatch.setattr(rffkd.matrixio, "_CSV_JOB_VALUES", a.shape[1])  # a row a job
+        in_flight = []
+
+        class Out(io.StringIO):
+            def write(self, text):
+                in_flight.append(pools[0].submitted - len(in_flight))
+                return super().write(text)
+
+        out = Out()
+        write_blocks(out, [a[:5], a[5:]], a.shape)
+        depth = 4 * WORKERS
+        assert in_flight == [min(depth, len(a) - k) for k in range(len(a))]
+        assert [pool._max_workers for pool in pools] == [WORKERS]
+        assert out.getvalue() == csv_lines(a)
+
+    @pytest.mark.parametrize("d", [1, 7, 1600])
+    @pytest.mark.parametrize("job", ["one row", "default", "more rows than n"])
+    @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pool"])
+    def test_csv_bytes_across_job_boundaries(self, monkeypatch, pools, d, job, pooled):
+        """Every job size gives '%.17g' text byte for byte, in blocks whose
+        edges fall one row past a job's edge and with an empty block, on
+        the calling thread and on the pool.  Jobs longer than n are one job
+        a block, which builds no pool."""
+        default = max(1, rffkd.matrixio._CSV_JOB_VALUES // d)
+        rows = 1 if job == "one row" else default
+        n = 2 * rows + 3
+        if job == "one row":
+            monkeypatch.setattr(rffkd.matrixio, "_CSV_JOB_VALUES", d)
+        elif job == "more rows than n":
+            monkeypatch.setattr(rffkd.matrixio, "_CSV_JOB_VALUES", d * (n + 1))
+        if not pooled:
+            monkeypatch.setattr(rffkd.matrixio, "_CSV_AHEAD", 0)
+        a = mixed_matrix(n, d)
+        buf = io.StringIO()
+        write_blocks(buf, [a[:1], a[1:1], a[1:rows + 2], a[rows + 2:]], a.shape)
+        assert buf.getvalue() == csv_lines(a)
+        assert len(pools) == (1 if pooled and job != "more rows than n" else 0)
 
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize(
