@@ -5,7 +5,8 @@ kpca (tail-energy experiment), pairs (distance-ratio experiment), verify
 (statistical battery; exit code 0 iff every check passes), gen (synthetic
 datasets and stress grids).  All output is CSV to stdout unless --output
 names a file.  A flag that the command, as invoked, does not read is refused
-with exit code 2 before any input is read or output opened.
+with exit code 2 before any input is read or output opened.  A command
+imports the modules that only it uses when it runs.
 """
 
 from __future__ import annotations
@@ -15,22 +16,19 @@ import os
 import sys
 from contextlib import contextmanager
 
-from .experiments import gen_grid_stress, pairs_experiment, synth_dataset
 from .features import FeatureMapSpec, Variant, embed_blocks, sample_map
 from .kernel import Bandwidth, PointSet
-from .kpca import kpca_experiment
 from .matrixio import FORMATS, read_matrix, write_blocks
-from .planner import plan_bounded_diameter, plan_finite_points, plan_per_pair
-from .verify import run_battery
 
 __all__ = ["main", "build_parser"]
 
-# Each dims regime's planner and the flags it takes after --epsilon, in the
-# planner's argument order.  dims refuses the other regimes' flags.
+# Each dims regime's planner in rffkd.planner and the flags it takes after
+# --epsilon, in the planner's argument order.  dims refuses the other
+# regimes' flags.
 _REGIMES = {
-    "per-pair": (plan_per_pair, ("delta",)),
-    "finite-points": (plan_finite_points, ("n",)),
-    "bounded-diameter": (plan_bounded_diameter, ("delta", "dim", "diameter")),
+    "per-pair": ("plan_per_pair", ("delta",)),
+    "finite-points": ("plan_finite_points", ("n",)),
+    "bounded-diameter": ("plan_bounded_diameter", ("delta", "dim", "diameter")),
 }
 
 
@@ -203,13 +201,15 @@ def _cmd_embed(given) -> int:
 
 
 def _cmd_dims(given) -> int:
+    from . import planner
+
     regime, epsilon = given.pop("regime"), given.pop("epsilon")
-    planner, names = _REGIMES[regime]
+    planner_name, names = _REGIMES[regime]
     invoked = f"dims --regime {regime}"
     taken = {name: _required(given, name, invoked) for name in names}
     constant, output = given.pop("constant", None), given.pop("output", None)
     _refuse_unread(given, invoked)
-    result = planner(epsilon, *taken.values(), constant)
+    result = getattr(planner, planner_name)(epsilon, *taken.values(), constant)
     # one column for every regime's flags, left empty where this one takes none
     flags = ("delta", "n", "dim", "diameter")
     columns = ["regime", "epsilon", *flags, "constant", "pair_count", "output_dim", "formula_note"]
@@ -222,10 +222,14 @@ def _cmd_dims(given) -> int:
 
 
 def _cmd_kpca(given) -> int:
+    from .kpca import kpca_experiment
+
     if "input" in given:
         invoked = "kpca with --input"
         source = _pop_input(given, invoked)
     else:
+        from .experiments import synth_dataset
+
         n, dim, clusters = (
             given.pop("synth_n", 2000), given.pop("synth_dim", 256), given.pop("synth_clusters", 10)
         )
@@ -252,6 +256,8 @@ def _cmd_kpca(given) -> int:
 
 
 def _cmd_pairs(given) -> int:
+    from .experiments import pairs_experiment
+
     n_pairs, dim = given.pop("pairs", 2000), given.pop("dim", 10)
     ball_radius = given.pop("ball_radius", 500.0)
     dist_min, dist_max = given.pop("dist_min", 1e-4), given.pop("dist_max", 1e4)
@@ -275,6 +281,8 @@ def _cmd_pairs(given) -> int:
 
 
 def _cmd_verify(given) -> int:
+    from .verify import run_battery
+
     # The battery has no bandwidth.  --sigma is taken and not read, because
     # the benchmark's verify workload passes it.
     given.pop("sigma", None)
@@ -291,6 +299,8 @@ def _cmd_verify(given) -> int:
 
 
 def _cmd_gen(given) -> int:
+    from .experiments import gen_grid_stress, synth_dataset
+
     kind = given.pop("kind")
     output, fmt = given.pop("output", None), given.pop("output_format", "csv")
     if kind == "synth":
@@ -319,8 +329,9 @@ def main(argv=None) -> int:
         # does not fail again, and end as a shell reports death by SIGPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, OSError) as exc:
-        print(f"rffkd: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # a bare MemoryError has no message
+        print(f"rffkd: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     return status
 

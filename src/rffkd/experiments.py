@@ -28,7 +28,6 @@ __all__ = [
     "pairs_experiment",
     "gen_grid_stress",
     "synth_dataset",
-    "GRID_SIZE_LIMIT",
 ]
 
 # Desk-scale cap on grid stress sets: dim * point count.

@@ -40,8 +40,6 @@ __all__ = [
     "sample_map",
     "embed",
     "embed_blocks",
-    "projected_frequencies",
-    "sq_distance_from_projections",
 ]
 
 
@@ -108,10 +106,11 @@ def sample_map(spec: FeatureMapSpec, dim: int) -> FeatureMap:
     freq = np.empty((spec.size, dim))
     shifts = np.empty(spec.size) if spec.variant is Variant.COS_SHIFT else None
     for row, gen in enumerate(row_generators(spec.seed, spec.size)):
-        freq[row] = gen.standard_normal(dim) * scale
+        gen.standard_normal(out=freq[row])
         if shifts is not None:
             # 2*pi*(1 - U) with U in [0, 1) lands in (0, 2*pi]
             shifts[row] = 2.0 * math.pi * (1.0 - gen.random())
+    freq *= scale
     freq.setflags(write=False)
     if shifts is not None:
         shifts.setflags(write=False)

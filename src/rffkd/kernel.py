@@ -19,13 +19,8 @@ from ._checks import real
 
 __all__ = [
     "Bandwidth",
-    "ScaledDiff",
     "PointSet",
-    "kernel_exact",
     "kernel_distance_exact",
-    "kernel_from_scaled_norm",
-    "sq_distance_from_scaled_norm",
-    "distance_from_scaled_norm",
 ]
 
 

@@ -26,14 +26,7 @@ from .kernel import Bandwidth, PointSet
 from .streams import check_seed, derive_seed
 
 __all__ = [
-    "GramMatrix",
     "PcaReport",
-    "gram_exact",
-    "center_gram",
-    "exact_tail_energy",
-    "exact_feature_embedding",
-    "residual_from_centered",
-    "approx_residual",
     "kpca_experiment",
 ]
 

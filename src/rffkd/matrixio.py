@@ -23,7 +23,6 @@ from ._checks import integer
 from ._pool import WORKERS, in_order
 
 __all__ = [
-    "MAGIC",
     "FORMATS",
     "MatrixFormatError",
     "read_matrix",

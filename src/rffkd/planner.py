@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from ._checks import integer, real
 
 __all__ = [
-    "DEFAULT_CONSTANT",
     "DimensionPlan",
     "plan_per_pair",
     "plan_finite_points",
@@ -55,6 +54,21 @@ def _bounded_diameter_raw(
     return constant * dim * epsilon ** -2 * math.log(max(arg, _E))
 
 
+def _raw_count(formula, epsilon: float, *args) -> float:
+    """formula(epsilon, *args), whose last argument is the constant, refused
+    where eps^-2 overflows or the count is not finite."""
+    try:
+        raw = formula(epsilon, *args)
+    except OverflowError:
+        raw = math.inf
+    if not math.isfinite(raw):
+        raise ValueError(
+            f"epsilon = {epsilon!r} with constant = {args[-1]!r} asks for more feature"
+            " pairs than a float can count"
+        )
+    return raw
+
+
 def _plan(raw: float, note: str) -> DimensionPlan:
     t = int(math.ceil(raw))
     return DimensionPlan(pair_count=t, output_dim=2 * t, formula_note=note)
@@ -66,7 +80,7 @@ def plan_per_pair(epsilon: float, delta: float, constant: float | None = None) -
     real("epsilon", epsilon, 0.0, 1.0)
     real("delta", delta, 0.0, 1.0)
     c = DEFAULT_CONSTANT if constant is None else real("constant", constant, 0.0)
-    raw = _per_pair_raw(epsilon, delta, c)
+    raw = _raw_count(_per_pair_raw, epsilon, delta, c)
     note = f"t = ceil({c:g} * eps^-2 * ln(2/delta)) = ceil({raw:.6g})"
     return _plan(raw, note)
 
@@ -80,7 +94,7 @@ def plan_finite_points(epsilon: float, n: int, constant: float | None = None) ->
     real("epsilon", epsilon, 0.0, 1.0)
     n = integer("n", n, minimum=2)
     c = DEFAULT_CONSTANT if constant is None else real("constant", constant, 0.0)
-    raw = _finite_points_raw(epsilon, n, c)
+    raw = _raw_count(_finite_points_raw, epsilon, n, c)
     note = (
         f"t = ceil({c:g} * eps^-2 * ln(n*(n-1))) = ceil({raw:.6g}); "
         "per-pair bound union-bounded over all pairs at delta = 1/n"
@@ -107,7 +121,7 @@ def plan_bounded_diameter(
     dim = integer("dim", dim)
     real("diameter", diameter, 0.0, lo_open=False)
     c = DEFAULT_CONSTANT if constant is None else real("constant", constant, 0.0)
-    raw = _bounded_diameter_raw(epsilon, delta, dim, diameter, c)
+    raw = _raw_count(_bounded_diameter_raw, epsilon, delta, dim, diameter, c)
     note = (
         f"t = ceil({c:g} * dim * eps^-2 * ln((dim/eps) * (max(M, e)/delta))) = ceil({raw:.6g}); "
         f"C = {c:g} extrapolated from the per-pair bound, M < 1 clamped to e"

@@ -38,13 +38,6 @@ from .streams import check_seed, derive_seed, generator as _generator
 
 __all__ = [
     "VerifyReport",
-    "check_unbiasedness",
-    "check_shift_unbiasedness",
-    "check_chi_square",
-    "check_limit_ratio",
-    "check_mgf_bound",
-    "check_scale_sweep",
-    "check_tail_bound",
     "run_battery",
 ]
 

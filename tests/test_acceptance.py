@@ -29,29 +29,26 @@ from rffkd import (
     Bandwidth,
     FeatureMapSpec,
     PointSet,
-    ScaledDiff,
     Variant,
-    center_gram,
-    check_chi_square,
-    check_limit_ratio,
-    check_mgf_bound,
-    check_unbiasedness,
-    distance_from_scaled_norm,
     embed,
-    exact_feature_embedding,
-    exact_tail_energy,
     gen_grid_stress,
-    gram_exact,
     kernel_distance_exact,
     kpca_experiment,
     pairs_experiment,
     plan_per_pair,
-    residual_from_centered,
     sample_map,
-    sq_distance_from_scaled_norm,
     synth_dataset,
 )
+from rffkd.kernel import ScaledDiff, distance_from_scaled_norm, sq_distance_from_scaled_norm
+from rffkd.kpca import (
+    center_gram,
+    exact_feature_embedding,
+    exact_tail_energy,
+    gram_exact,
+    residual_from_centered,
+)
 from rffkd.streams import derive_seed, generator
+from rffkd.verify import check_chi_square, check_limit_ratio, check_mgf_bound, check_unbiasedness
 
 
 def report(num: int, label: str, passed: bool, detail: str) -> None:

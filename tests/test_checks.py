@@ -17,9 +17,22 @@ from rffkd import (
     Bandwidth,
     FeatureMapSpec,
     PointSet,
-    ScaledDiff,
     Variant,
-    center_gram,
+    gen_grid_stress,
+    gen_pairs,
+    kpca_experiment,
+    pairs_experiment,
+    plan_bounded_diameter,
+    plan_finite_points,
+    plan_per_pair,
+    run_battery,
+    sample_map,
+    synth_dataset,
+)
+from rffkd.kernel import ScaledDiff
+from rffkd.kpca import center_gram, exact_tail_energy, gram_exact, residual_from_centered
+from rffkd.streams import check_seed, derive_seed, row_generator
+from rffkd.verify import (
     check_chi_square,
     check_limit_ratio,
     check_mgf_bound,
@@ -27,21 +40,7 @@ from rffkd import (
     check_shift_unbiasedness,
     check_tail_bound,
     check_unbiasedness,
-    exact_tail_energy,
-    gen_grid_stress,
-    gen_pairs,
-    gram_exact,
-    kpca_experiment,
-    pairs_experiment,
-    plan_bounded_diameter,
-    plan_finite_points,
-    plan_per_pair,
-    residual_from_centered,
-    run_battery,
-    sample_map,
-    synth_dataset,
 )
-from rffkd.streams import check_seed, derive_seed, row_generator
 
 SIGMA = Bandwidth(1.0)
 SPEC = FeatureMapSpec(Variant.COS_SIN, SIGMA, 4, 0)

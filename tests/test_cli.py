@@ -20,6 +20,7 @@ import rffkd
 import rffkd.features
 import rffkd.kpca
 import rffkd.matrixio
+import rffkd.verify
 from rffkd import Bandwidth, FeatureMapSpec, PointSet, Variant, embed, sample_map
 from rffkd._pool import WORKERS
 from rffkd.cli import main
@@ -510,6 +511,18 @@ class TestVerify:
         assert out == ""
         assert f"samples must be an integer >= 2, got {samples}" in err
 
+    def test_out_of_memory_is_error(self, capsys, monkeypatch):
+        """A request too large to allocate exits 2 with numpy's message.  The
+        battery is replaced, so nothing is allocated."""
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+        def too_large(seed, samples):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(rffkd.verify, "run_battery", too_large)
+        rc, out, err = run_cli(capsys, "verify", "--samples", "1000000000000")
+        assert (rc, out, err) == (2, "", f"rffkd: error: {message}\n")
+
 
 GLOBAL_FLAGS = ("--seed", "--sigma", "--t", "--variant")
 
@@ -694,17 +707,22 @@ def test_console_script_end_to_end():
     assert "205" in proc.stdout
 
 
-def imports(module, statement):
-    """Whether a fresh interpreter has module loaded after the statement."""
+def loaded(statement):
+    """The modules a fresh interpreter has loaded after the statement."""
     env = dict(os.environ)
     src = str(Path(rffkd.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = f"{statement}\nimport sys\nprint({module!r} in sys.modules)"
+    code = f"{statement}\nimport sys\nprint(*sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip() == "True"
+    return set(proc.stdout.split())
+
+
+def imports(module, statement):
+    """Whether a fresh interpreter has module loaded after the statement."""
+    return module in loaded(statement)
 
 
 def test_cli_import_leaves_scipy_out():
@@ -727,6 +745,57 @@ def test_futures_probe_sees_the_pool():
         "concurrent.futures",
         "import rffkd.cli\nfrom rffkd._pool import in_order\nlist(in_order([(abs, -1)], 1))",
     )
+
+
+# Modules that only some commands use, each loaded by the command that does.
+COMMAND_ONLY = {"rffkd.kpca", "rffkd.verify", "rffkd.experiments", "rffkd.planner", "rffkd._csvtext"}
+
+
+def run_in_probe(*argv):
+    """A probe statement that runs the CLI in-process, as the console script does."""
+    return f"import rffkd.cli\nrffkd.cli.main({list(map(str, argv))!r})"
+
+
+@pytest.fixture
+def probe_input(tmp_path):
+    path = tmp_path / "points.f64"
+    points = np.random.default_rng(0).standard_normal((20, 3))
+    write_matrix(path, points, fmt="raw-f64")
+    return path
+
+
+def test_package_loads_a_module_on_first_use():
+    assert not [m for m in loaded("import rffkd") if m.startswith("rffkd.")]
+    assert "rffkd.kpca" in loaded("import rffkd\nrffkd.kpca")
+
+
+def test_cli_import_loads_no_command_only_module():
+    assert not loaded("import rffkd.cli") & COMMAND_ONLY
+
+
+def test_embed_loads_no_command_only_module(tmp_path, probe_input):
+    statement = run_in_probe(
+        "--t", 4, "embed", "--input", probe_input, "--input-format", "raw-f64",
+        "--output", tmp_path / "out.f64", "--output-format", "raw-f64",
+    )
+    assert not loaded(statement) & COMMAND_ONLY
+    assert (tmp_path / "out.f64").stat().st_size > 0
+
+
+def test_kpca_loads_kpca_and_not_verify(tmp_path, probe_input):
+    statement = run_in_probe(
+        "kpca", "--input", probe_input, "--input-format", "raw-f64", "--k", 2,
+        "--t-list", 4, "--trials", 1, "--output", tmp_path / "out.csv",
+    )
+    modules = loaded(statement)
+    assert "rffkd.kpca" in modules and "rffkd.verify" not in modules
+    assert (tmp_path / "out.csv").read_text().count("\n") == 2
+
+
+def test_module_probe_sees_verify():
+    """Negative control: the probe above reports rffkd.verify once verify runs."""
+    statement = run_in_probe("verify", "--samples", 2000, "--output", os.devnull)
+    assert "rffkd.verify" in loaded(statement)
 
 
 def test_closed_stdout_ends_quietly(tmp_path):

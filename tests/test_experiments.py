@@ -11,16 +11,9 @@ from scipy.spatial.distance import pdist
 
 import rffkd.cli
 import rffkd.experiments
-from rffkd import (
-    GRID_SIZE_LIMIT,
-    Bandwidth,
-    Variant,
-    distance_from_scaled_norm,
-    gen_grid_stress,
-    gen_pairs,
-    pairs_experiment,
-    synth_dataset,
-)
+from rffkd import Bandwidth, Variant, gen_grid_stress, gen_pairs, pairs_experiment, synth_dataset
+from rffkd.experiments import GRID_SIZE_LIMIT
+from rffkd.kernel import distance_from_scaled_norm
 from rffkd.streams import generator
 
 
@@ -43,7 +36,7 @@ class TestPairConfig:
         CosSin.  The CLI holds these defaults and hands them over as given."""
         calls = []
         monkeypatch.setattr(
-            rffkd.cli, "pairs_experiment", lambda *args, **kw: calls.append((args, kw)) or []
+            rffkd.experiments, "pairs_experiment", lambda *args, **kw: calls.append((args, kw)) or []
         )
         assert rffkd.cli.main(["pairs"]) == 0
         [(args, kwargs)] = calls

@@ -19,18 +19,14 @@ from rffkd import (
     FeatureMap,
     FeatureMapSpec,
     PointSet,
-    ScaledDiff,
     Variant,
     embed,
-    kernel_exact,
-    projected_frequencies,
     sample_map,
-    sq_distance_from_projections,
-    sq_distance_from_scaled_norm,
 )
 import rffkd.features
 from rffkd._pool import WORKERS
-from rffkd.features import embed_blocks
+from rffkd.features import embed_blocks, projected_frequencies, sq_distance_from_projections
+from rffkd.kernel import ScaledDiff, kernel_exact, sq_distance_from_scaled_norm
 from rffkd.streams import check_seed, derive_seed, generator, row_generator
 
 mp.dps = 50

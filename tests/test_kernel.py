@@ -14,12 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from rffkd import (
-    Bandwidth,
-    PointSet,
+from rffkd import Bandwidth, PointSet, kernel_distance_exact
+from rffkd.kernel import (
     ScaledDiff,
     distance_from_scaled_norm,
-    kernel_distance_exact,
     kernel_exact,
     kernel_from_scaled_norm,
     sq_distance_from_scaled_norm,

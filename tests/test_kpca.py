@@ -16,20 +16,22 @@ import rffkd.kpca
 from rffkd import (
     Bandwidth,
     FeatureMapSpec,
-    GramMatrix,
     PointSet,
     Variant,
-    approx_residual,
     embed,
+    kpca_experiment,
+    sample_map,
+    synth_dataset,
+)
+from rffkd.kernel import kernel_exact
+from rffkd.kpca import (
+    GramMatrix,
+    approx_residual,
     center_gram,
     exact_feature_embedding,
     exact_tail_energy,
     gram_exact,
-    kernel_exact,
-    kpca_experiment,
     residual_from_centered,
-    sample_map,
-    synth_dataset,
 )
 
 mp.dps = 50

@@ -13,9 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from rffkd import DEFAULT_CONSTANT, plan_bounded_diameter, plan_finite_points, plan_per_pair
+from rffkd import plan_bounded_diameter, plan_finite_points, plan_per_pair
 from rffkd.cli import main
-from rffkd.planner import _bounded_diameter_raw, _finite_points_raw, _per_pair_raw
+from rffkd.planner import (
+    DEFAULT_CONSTANT,
+    _bounded_diameter_raw,
+    _finite_points_raw,
+    _per_pair_raw,
+)
 
 mp.dps = 50
 
@@ -290,6 +295,22 @@ class TestDispatch:
         """A flag given as 0 is still given, and refused where it does not apply."""
         rc, _, err = dims(capsys, "finite-points", 0.25, n=10, **{field: 0})
         assert (rc, err) == (2, refusal(field, "finite-points"))
+
+    @pytest.mark.parametrize(
+        "regime, epsilon, flags, constant",
+        [
+            ("per-pair", 1e-300, {"delta": 0.1}, "8.0"),
+            ("finite-points", 1e-200, {"n": 10}, "8.0"),
+            ("bounded-diameter", 1e-200, {"delta": 0.1, "dim": 2, "diameter": 3}, "8.0"),
+            ("per-pair", 1e-100, {"delta": 0.1, "constant": 1e300}, "1e+300"),
+        ],
+    )
+    def test_count_past_float_range_is_error(self, capsys, regime, epsilon, flags, constant):
+        """An overflowing eps^-2 and an infinite count both exit 2, naming
+        epsilon and the constant."""
+        rc, _, err = dims(capsys, regime, epsilon, **flags)
+        assert rc == 2
+        assert err.startswith(f"rffkd: error: epsilon = {epsilon!r} with constant = {constant}")
 
     def test_unknown_regime_rejected(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -1,5 +1,7 @@
 """The package's public surface: each public name is declared once, in its
-module's __all__, and rffkd exports the union of those lists."""
+module's __all__, and rffkd exports the union of those lists, the documented
+API, loading each module on first use.  Helpers outside it stay importable
+from their own modules."""
 
 import importlib
 
@@ -9,9 +11,43 @@ import rffkd
 
 EXPORTED = ("features", "kernel", "kpca", "matrixio", "planner", "experiments", "verify")
 
+DOCUMENTED = [
+    "Variant", "FeatureMapSpec", "FeatureMap", "Embedding", "sample_map", "embed", "embed_blocks",
+    "Bandwidth", "PointSet", "kernel_distance_exact",
+    "FORMATS", "MatrixFormatError", "read_matrix", "write_matrix", "write_blocks",
+    "DimensionPlan", "plan_per_pair", "plan_finite_points", "plan_bounded_diameter",
+    "PcaReport", "kpca_experiment",
+    "PairExperimentReport", "pairs_experiment", "gen_pairs", "gen_grid_stress", "synth_dataset",
+    "VerifyReport", "run_battery",
+]
+
+MODULE_ONLY = {
+    "verify": [
+        "check_unbiasedness", "check_shift_unbiasedness", "check_chi_square",
+        "check_limit_ratio", "check_mgf_bound", "check_scale_sweep", "check_tail_bound",
+    ],
+    "kpca": [
+        "GramMatrix", "gram_exact", "center_gram", "exact_tail_energy",
+        "exact_feature_embedding", "residual_from_centered", "approx_residual",
+    ],
+    "kernel": [
+        "ScaledDiff", "kernel_exact", "kernel_from_scaled_norm",
+        "sq_distance_from_scaled_norm", "distance_from_scaled_norm",
+    ],
+    "features": ["projected_frequencies", "sq_distance_from_projections"],
+    "matrixio": ["MAGIC"],
+    "planner": ["DEFAULT_CONSTANT"],
+    "experiments": ["GRID_SIZE_LIMIT"],
+}
+
 
 def module_names(name):
     return importlib.import_module(f"rffkd.{name}").__all__
+
+
+def test_all_is_the_documented_api():
+    assert (len(DOCUMENTED), sum(map(len, MODULE_ONLY.values()))) == (28, 24)
+    assert sorted(rffkd.__all__) == sorted(DOCUMENTED)
 
 
 def test_all_is_the_union_of_module_alls():
@@ -25,6 +61,14 @@ def test_all_has_no_duplicates_or_private_names():
     assert not [n for n in rffkd.__all__ if n.startswith("_")]
 
 
+def test_star_import_and_dir_give_the_documented_api():
+    namespace = {}
+    exec("from rffkd import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(DOCUMENTED)
+    assert dir(rffkd) == sorted(DOCUMENTED)
+
+
 @pytest.mark.parametrize("module", EXPORTED)
 def test_every_name_resolves_to_its_module_object(module):
     mod = importlib.import_module(f"rffkd.{module}")
@@ -35,3 +79,18 @@ def test_every_name_resolves_to_its_module_object(module):
 @pytest.mark.parametrize("module", ["streams", "cli"])
 def test_submodule_only_names_stay_out(module):
     assert not set(module_names(module)) & set(rffkd.__all__)
+
+
+@pytest.mark.parametrize(
+    "module, name", [(m, n) for m, names in MODULE_ONLY.items() for n in names]
+)
+def test_module_only_name_imports_from_its_module(module, name):
+    assert hasattr(importlib.import_module(f"rffkd.{module}"), name)
+    assert name not in rffkd.__all__
+    with pytest.raises(AttributeError, match=name):
+        getattr(rffkd, name)
+
+
+def test_unknown_name_is_an_import_error():
+    with pytest.raises(ImportError):
+        exec("from rffkd import no_such_name", {})

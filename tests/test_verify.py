@@ -18,11 +18,11 @@ import pytest
 from mpmath import mp
 
 import rffkd.verify as verify
-from rffkd import (
-    Bandwidth,
-    FeatureMapSpec,
-    ScaledDiff,
-    Variant,
+from rffkd import Bandwidth, FeatureMapSpec, Variant, run_battery, sample_map
+from rffkd.features import projected_frequencies, sq_distance_from_projections
+from rffkd.kernel import ScaledDiff, kernel_from_scaled_norm, sq_distance_from_scaled_norm
+from rffkd.streams import derive_seed, generator
+from rffkd.verify import (
     check_chi_square,
     check_limit_ratio,
     check_mgf_bound,
@@ -30,14 +30,7 @@ from rffkd import (
     check_shift_unbiasedness,
     check_tail_bound,
     check_unbiasedness,
-    kernel_from_scaled_norm,
-    projected_frequencies,
-    run_battery,
-    sample_map,
-    sq_distance_from_projections,
-    sq_distance_from_scaled_norm,
 )
-from rffkd.streams import derive_seed, generator
 
 mp.dps = 50
 
