@@ -41,10 +41,12 @@ def _fmt(value) -> str:
 
 
 def _write_report_csv(path, columns, rows) -> None:
+    import csv
+
     with _open_output(path) as out:
-        out.write(",".join(columns) + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(v) for v in row) + "\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 @contextmanager
@@ -186,7 +188,7 @@ def _pop_input(given: dict, invoked: str) -> tuple:
 def _cmd_embed(given) -> int:
     source = _pop_input(given, "embed")
     spec = FeatureMapSpec(
-        variant=Variant(given.pop("variant", "cossin")),
+        variant=given.pop("variant", "cossin"),
         sigma=Bandwidth(given.pop("sigma", 1.0)),
         size=given.pop("t", 64),
         seed=given.pop("seed", 0),
@@ -215,7 +217,7 @@ def _cmd_dims(given) -> int:
     columns = ["regime", "epsilon", *flags, "constant", "pair_count", "output_dim", "formula_note"]
     row = [
         regime, epsilon, *(taken.get(flag) for flag in flags), constant,
-        result.pair_count, result.output_dim, '"' + result.formula_note + '"',
+        result.pair_count, result.output_dim, result.formula_note,
     ]
     _write_report_csv(output, columns, [row])
     return 0
@@ -241,7 +243,7 @@ def _cmd_kpca(given) -> int:
     _refuse_unread(given, invoked)
     points = PointSet(read_matrix(*source)) if source else synth_dataset(n, dim, clusters, seed)
     reports = kpca_experiment(
-        points, Bandwidth(sigma), k, t_list, trials, seed, variant=Variant(variant)
+        points, Bandwidth(sigma), k, t_list, trials, seed, variant=variant
     )
     columns = ["sigma", "t", "k", "R_exact", "R_approx", "rel_err"]
     rows = [[r.sigma, r.t, r.k, r.r_exact, r.r_approx, r.rel_err] for r in reports]
@@ -268,7 +270,7 @@ def _cmd_pairs(given) -> int:
     _refuse_unread(given, "pairs")
     reports = pairs_experiment(
         n_pairs, dim, ball_radius, dist_min, dist_max, Bandwidth(sigma), t_list, seed,
-        variant=Variant(variant),
+        variant=variant,
     )
     columns = ["t", "r", "d_exact", "d_approx", "ratio"]
     rows = (

@@ -199,10 +199,13 @@ def kpca_experiment(
     For each t in t_list, draws `trials` independent maps (seeds derived
     from (seed, t, trial)), computes the embedded residual for each, and
     reports it against the exact tail energy of the same point set.  k is
-    checked against n and every t's output dimension before any of the work.
+    checked against n and every t's output dimension, and an empty t_list
+    refused, before any of the work.
     """
     trials = integer("trials", trials)
     k = integer("k", k, minimum=0)
+    if len(t_list) < 1:
+        raise ValueError(f"t_list must hold integers >= 1, got {t_list}")
     t_list = [integer("t_list entry", t) for t in t_list]
     seed = check_seed(seed)
     n = points.n

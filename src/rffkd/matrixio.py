@@ -46,13 +46,6 @@ class MatrixFormatError(ValueError):
         self.offset = offset
 
 
-def _check_matrix(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"expected a non-empty 2-d matrix, got shape {arr.shape}")
-    return arr
-
-
 def _checked_blocks(blocks, n: int, d: int):
     """The blocks as float64 arrays, checked to stack into exactly n x d."""
     done = 0
@@ -71,9 +64,9 @@ def _checked_blocks(blocks, n: int, d: int):
 
 
 @contextmanager
-def _opened(src, mode: str):
+def _opened(src, mode: str, buffering: int = -1):
     if isinstance(src, (str, PathLike)):
-        with open(src, mode) as handle:
+        with open(src, mode, buffering=buffering) as handle:
             yield handle
     else:
         yield src
@@ -156,37 +149,44 @@ def _write_raw_blocks(dest, blocks, shape) -> None:
 def _read_raw(src) -> np.ndarray:
     """Read the raw-f64 format, validating magic, header, and payload size.
 
-    The result is a read-only view of the bytes read, so the payload is held
-    in memory once.
+    The result is a read-only view of the payload bytes, read apart from the
+    header so that the view is as aligned as any bytes object; read from a
+    path, the payload is held in memory once.
     """
-    with _opened(src, "rb") as handle:
-        buf = handle.read()
-    if len(buf) < _HEADER.size:
+    # unbuffered: a buffered reader would join its read-ahead to the rest,
+    # holding the payload twice
+    with _opened(src, "rb", buffering=0) as handle:
+        head = handle.read(_HEADER.size)
+        payload = handle.read()
+    size = len(head) + len(payload)
+    if len(head) < _HEADER.size:
         raise MatrixFormatError(
-            f"truncated header: need {_HEADER.size} bytes, file has {len(buf)}", offset=len(buf)
+            f"truncated header: need {_HEADER.size} bytes, file has {size}", offset=size
         )
-    magic, n, d = _HEADER.unpack_from(buf)
+    magic, n, d = _HEADER.unpack(head)
     if magic != MAGIC:
         raise MatrixFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
     if n < 1 or d < 1:
         raise MatrixFormatError(f"header declares empty matrix {n}x{d}", offset=4)
     expected = _HEADER.size + 8 * n * d
-    if len(buf) < expected:
+    if size < expected:
         raise MatrixFormatError(
-            f"payload ends early: {n}x{d} matrix needs {expected} bytes, file has {len(buf)}",
-            offset=len(buf),
+            f"payload ends early: {n}x{d} matrix needs {expected} bytes, file has {size}",
+            offset=size,
         )
-    if len(buf) > expected:
+    if size > expected:
         raise MatrixFormatError(
-            f"trailing bytes after {n}x{d} payload: expected {expected} bytes, file has {len(buf)}",
+            f"trailing bytes after {n}x{d} payload: expected {expected} bytes, file has {size}",
             offset=expected,
         )
-    return np.frombuffer(buf, dtype="<f8", offset=_HEADER.size).reshape(n, d)
+    return np.frombuffer(payload, dtype="<f8").reshape(n, d)
 
 
 def write_matrix(dest, data, fmt: str = "csv") -> None:
     """Write a matrix in the named format ("csv" or "raw-f64")."""
-    arr = _check_matrix(data)
+    arr = np.asarray(data, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a non-empty 2-d matrix, got shape {arr.shape}")
     write_blocks(dest, [arr], arr.shape, fmt=fmt)
 
 

@@ -167,19 +167,12 @@ def check_chi_square(epsilon: float, delta: float, trials: int, seed: int) -> Ve
     violations = float(np.mean((mean_sq < 1.0 - epsilon) | (mean_sq > 1.0 + epsilon)))
     std_err = math.sqrt(delta * (1.0 - delta) / trials)
     return _one_sided(
-        f"mean_sq_projection_concentration[eps={epsilon:g},delta={delta:g},t={t}]",
+        f"mean_sq_projection_concentration[eps={epsilon:g};delta={delta:g};t={t}]",
         trials,
         violations,
         delta,
         std_err,
     )
-
-
-def _shrink_factors(lambdas: Sequence[float]) -> np.ndarray:
-    lam = np.asarray(sorted(float(v) for v in lambdas), dtype=np.float64)
-    if lam.size == 0 or not np.all((lam > 0.0) & (lam <= 1.0)):
-        raise ValueError(f"lambdas must be one or more values in (0, 1], got {lam.tolist()}")
-    return lam
 
 
 def _ratio_curve(proj: np.ndarray, scaled_norm: float, lambdas: np.ndarray) -> np.ndarray:
@@ -198,7 +191,9 @@ def check_limit_ratio(diff: ScaledDiff, fmap: FeatureMap, lambdas: Sequence[floa
     (1/t) sum_i w_i^2.  Deterministic given the map, so std_err = 0 and the
     tolerance is a fixed 1e-4 relative gap.
     """
-    lam = _shrink_factors(lambdas)
+    lam = np.asarray(sorted(float(v) for v in lambdas), dtype=np.float64)
+    if lam.size == 0 or not np.all((lam > 0.0) & (lam <= 1.0)):
+        raise ValueError(f"lambdas must be one or more values in (0, 1], got {lam.tolist()}")
     if diff.norm == 0.0:
         raise ValueError("limit ratio is undefined for a zero difference")
     proj = projected_frequencies(fmap, diff)
@@ -206,7 +201,7 @@ def check_limit_ratio(diff: ScaledDiff, fmap: FeatureMap, lambdas: Sequence[floa
     chi = float(np.mean(proj * proj))
     statistic = abs(ratios[0] / chi - 1.0)
     return _one_sided(
-        f"vanishing_distance_limit[r={diff.norm:g},t={proj.size},lmin={lam[0]:g}]",
+        f"vanishing_distance_limit[r={diff.norm:g};t={proj.size};lmin={lam[0]:g}]",
         proj.size,
         statistic,
         1e-4,
@@ -239,16 +234,10 @@ def check_mgf_bound(delta_norm: float, s: float, samples: int, seed: int) -> Ver
     statistic = math.log(mean)
     std_err = std / (mean * math.sqrt(samples))
     bound = 0.25 * s * s * r**4
-    return _one_sided(f"centered_cosine_mgf[r={r:g},s={s:g}]", samples, statistic, bound, std_err)
+    return _one_sided(f"centered_cosine_mgf[r={r:g};s={s:g}]", samples, statistic, bound, std_err)
 
 
-def check_scale_sweep(
-    epsilon: float,
-    delta: float,
-    seed: int,
-    trials: int = 100,
-    lambdas: Sequence[float] | None = None,
-) -> VerifyReport:
+def check_scale_sweep(epsilon: float, delta: float, seed: int) -> VerifyReport:
     """Below the threshold norm, one map handles every scale at once.
 
     For pairs at scaled distance r = sqrt(eps)/ln(1/delta), a map with
@@ -256,13 +245,13 @@ def check_scale_sweep(
     [1 - eps, 1 + eps] simultaneously for all shrink factors lambda in
     (0, 1], with failure probability O(delta).  The O constant is fixed at
     SCALE_SWEEP_DELTA_CONSTANT = 3, so the reported bound is 3 delta.
-    One-sided.
+    One-sided, over 100 trials of 25 factors log-spaced from 1e-6 to 1.
     """
-    trials = integer("trials", trials)
     real("epsilon", epsilon, 0.0, 1.0)
     if real("delta", delta, 0.0, 1.0) >= 1.0 / math.e:
         raise ValueError(f"delta must lie in (0, 1/e) so the threshold norm exists, got {delta}")
-    lam = np.logspace(-6, 0, 25) if lambdas is None else _shrink_factors(lambdas)
+    trials = 100
+    lam = np.logspace(-6, 0, 25)
     r = math.sqrt(epsilon) / math.log(1.0 / delta)
     t = plan_per_pair(epsilon, delta).pair_count
     gen = _generator(seed)
@@ -276,7 +265,7 @@ def check_scale_sweep(
     bound = SCALE_SWEEP_DELTA_CONSTANT * delta
     std_err = math.sqrt(bound * (1.0 - bound) / trials) if bound < 1.0 else 0.0
     return _one_sided(
-        f"ratio_stable_across_scales[eps={epsilon:g},delta={delta:g},r={r:g},t={t}]",
+        f"ratio_stable_across_scales[eps={epsilon:g};delta={delta:g};r={r:g};t={t}]",
         trials,
         statistic,
         bound,
@@ -306,7 +295,7 @@ def check_tail_bound(
     violations = float(np.mean(np.abs(d_hat_sq / d_sq - 1.0) > epsilon))
     std_err = math.sqrt(delta * (1.0 - delta) / trials)
     return _one_sided(
-        f"relative_error_tail[r={r:g},eps={epsilon:g},delta={delta:g},t={t}]",
+        f"relative_error_tail[r={r:g};eps={epsilon:g};delta={delta:g};t={t}]",
         trials,
         violations,
         delta,

@@ -22,15 +22,13 @@ def report_cpus(monkeypatch):
 
 
 @pytest.fixture
-def take_pool(monkeypatch, report_cpus):
-    """A function that makes the process report cpus usable CPUs and sets the
-    embed pipeline's path: with cpus > 1 it pools any input of two blocks or
-    more, so that small inputs reach the pool, and with cpus = 1 it never
-    pools.  The pipeline itself reads no CPU count."""
+def take_pool(monkeypatch):
+    """A function that sets the embed pipeline's path: "pooled" pools any
+    input of two blocks or more, so that small inputs reach the pool, and
+    "serial" never pools."""
 
-    def take(cpus=64):
-        report_cpus(cpus)
-        monkeypatch.setattr(rffkd.features, "_POOL_MIN_BLOCKS", 2 if cpus > 1 else sys.maxsize)
+    def take(path="pooled"):
+        monkeypatch.setattr(rffkd.features, "_POOL_MIN_BLOCKS", 2 if path == "pooled" else sys.maxsize)
 
     return take
 

@@ -83,7 +83,6 @@ COUNTS = {
     "check_shift_unbiasedness.samples": ("samples", lambda v: check_shift_unbiasedness(0.5, v, 0)),
     "check_mgf_bound.samples": ("samples", lambda v: check_mgf_bound(0.5, 0.5, v, 0)),
     "check_chi_square.trials": ("trials", lambda v: check_chi_square(0.3, 0.2, v, 0)),
-    "check_scale_sweep.trials": ("trials", lambda v: check_scale_sweep(0.2, 0.1, 0, trials=v)),
     "check_tail_bound.trials": ("trials", lambda v: check_tail_bound(0.5, 0.25, 0.1, v, 0)),
     "run_battery.samples": ("samples", lambda v: run_battery(0, samples=v)),
     "run_battery.seed": ("seed", lambda v: run_battery(v, samples=3)),
@@ -127,8 +126,8 @@ REALS = {
     "check_mgf_bound.s": ("s", lambda v: check_mgf_bound(0.5, v, 10, 0), 0.5),
     "check_chi_square.epsilon": ("epsilon", lambda v: check_chi_square(v, 0.2, 10, 0), 0.3),
     "check_chi_square.delta": ("delta", lambda v: check_chi_square(0.3, v, 10, 0), 0.2),
-    "check_scale_sweep.epsilon": ("epsilon", lambda v: check_scale_sweep(v, 0.1, 0, trials=2), 0.2),
-    "check_scale_sweep.delta": ("delta", lambda v: check_scale_sweep(0.2, v, 0, trials=2), 0.1),
+    "check_scale_sweep.epsilon": ("epsilon", lambda v: check_scale_sweep(v, 0.1, 0), 0.2),
+    "check_scale_sweep.delta": ("delta", lambda v: check_scale_sweep(0.2, v, 0), 0.1),
     "check_tail_bound.delta_norm": (
         "delta_norm", lambda v: check_tail_bound(v, 0.25, 0.1, 10, 0), 0.5
     ),
@@ -179,8 +178,6 @@ def test_counts_keep_their_value():
 
 @pytest.mark.parametrize("lambdas", [[], [0.0, 0.5], [0.5, 1.5], [math.nan]])
 def test_shrink_factors_share_one_rule(lambdas):
-    """Both scale-sweeping checks refuse an empty list and any factor outside (0, 1]."""
+    """The limit check refuses an empty list and any factor outside (0, 1]."""
     with pytest.raises(ValueError, match="^lambdas must"):
         check_limit_ratio(ScaledDiff(np.ones(2)), sample_map(SPEC, 2), lambdas)
-    with pytest.raises(ValueError, match="^lambdas must"):
-        check_scale_sweep(0.2, 0.1, 0, trials=2, lambdas=lambdas)

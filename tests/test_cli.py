@@ -187,13 +187,19 @@ BLOCK_ROWS = 5  # rows per embed block in the streaming tests
 
 
 class TestEmbedStreaming:
+    @pytest.mark.parametrize("path", ["serial", "pooled"])
     @pytest.mark.parametrize("fmt", ["csv", "raw-f64"])
     @pytest.mark.parametrize("variant", [v.value for v in Variant])
     @pytest.mark.parametrize(
         "n", [1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
     )
-    def test_output_bytes_equal_whole_matrix(self, tmp_path, capsys, monkeypatch, fmt, variant, n):
-        """Block by block, the CLI writes the bytes of the one-product embedding."""
+    def test_output_bytes_on_either_path(
+        self, tmp_path, capsys, monkeypatch, take_pool, path, fmt, variant, n
+    ):
+        """Block by block, the CLI writes the bytes of the one-product
+        embedding, from the serial loop and from the thread pool, which here
+        takes any input of two blocks or more."""
+        take_pool(path)
         pts = np.random.default_rng(n).standard_normal((n, 5))
         src = tmp_path / "pts.bin"
         write_matrix(src, pts, fmt="raw-f64")
@@ -211,20 +217,6 @@ class TestEmbedStreaming:
         )
         assert rc == 0 and err == ""
         assert dest.read_bytes() == whole.read_bytes()
-
-    @pytest.mark.parametrize("cpus", [1, 64], ids=["1cpu", "64cpus"])
-    @pytest.mark.parametrize("fmt", ["csv", "raw-f64"])
-    @pytest.mark.parametrize("variant", [v.value for v in Variant])
-    @pytest.mark.parametrize(
-        "n", [1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
-    )
-    def test_output_bytes_on_either_path(
-        self, tmp_path, capsys, monkeypatch, take_pool, cpus, fmt, variant, n
-    ):
-        """The same bytes from the serial loop (1 CPU reported) and the thread
-        pool (64), which here takes any input of two blocks or more."""
-        take_pool(cpus)
-        self.test_output_bytes_equal_whole_matrix(tmp_path, capsys, monkeypatch, fmt, variant, n)
 
     def test_memory_bounded_by_blocks_not_output(self, tmp_path):
         """20000 x 800 output is 128 MB; the CLI holds a few blocks plus the input."""
@@ -245,12 +237,11 @@ class TestEmbedStreaming:
         dest.unlink()
         assert peak <= 4 * rffkd.features.BLOCK_BYTES + 3 * pts.nbytes
 
-    @pytest.mark.parametrize("cpus", [1, 64], ids=["1cpu", "64cpus"])
-    def test_csv_memory_bounded_by_blocks_and_jobs(self, tmp_path, report_cpus, cpus):
+    def test_csv_memory_bounded_by_blocks_and_jobs(self, tmp_path, report_cpus):
         """2000 x 800 CSV output is about 33 MB of text; the CLI holds a few
         blocks, the input, and the formatting jobs in flight with their
-        temporaries (under 256 bytes a value), whatever the CPU count."""
-        report_cpus(cpus)
+        temporaries (under 256 bytes a value), with 64 CPUs reported."""
+        report_cpus(64)
         pts = np.random.default_rng(0).standard_normal((2000, 8))
         src, dest = tmp_path / "pts.bin", tmp_path / "emb.csv"
         write_matrix(src, pts, fmt="raw-f64")
@@ -522,6 +513,26 @@ class TestVerify:
         monkeypatch.setattr(rffkd.verify, "run_battery", too_large)
         rc, out, err = run_cli(capsys, "verify", "--samples", "1000000000000")
         assert (rc, out, err) == (2, "", f"rffkd: error: {message}\n")
+
+
+REPORTS = {
+    "dims-per-pair": "dims --regime per-pair --epsilon 0.3 --delta 0.2",
+    "dims-finite-points": "dims --regime finite-points --epsilon 0.2 --n 2000",
+    "dims-bounded-diameter":
+        "dims --regime bounded-diameter --epsilon 0.25 --delta 0.1 --dim 2 --diameter 100",
+    "kpca": "kpca --synth-n 30 --synth-dim 3 --synth-clusters 2 --k 2 --t-list 8,16 --trials 1",
+    "pairs": "pairs --pairs 5 --dim 3 --t-list 8",
+    "verify": "verify --samples 2000",
+}
+
+
+@pytest.mark.parametrize("argv", REPORTS.values(), ids=list(REPORTS))
+def test_every_report_is_valid_csv(capsys, argv):
+    """Every row of every report parses into as many fields as its header."""
+    rc, out, _ = run_cli(capsys, *argv.split())
+    header, rows = parse_csv(out)
+    assert rc == 0 and rows
+    assert [len(row) for row in rows] == [len(header)] * len(rows)
 
 
 GLOBAL_FLAGS = ("--seed", "--sigma", "--t", "--variant")

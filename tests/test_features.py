@@ -369,28 +369,6 @@ def one_row_tail_blocks(n, output_dim):
 
 
 class TestEmbedBlocks:
-    @pytest.mark.parametrize("variant", list(Variant))
-    @pytest.mark.parametrize("n", BOUNDARY_NS)
-    def test_blocks_equal_whole_matrix_bits(self, monkeypatch, variant, n):
-        points, fmap = block_case(variant, n)
-        whole = whole_matrix_features(points, fmap)
-        use_small_blocks(monkeypatch, fmap.spec.output_dim)
-        blocks = list(embed_blocks(points, fmap))
-        assert sum(b.shape[0] for b in blocks) == n
-        assert np.vstack(blocks).tobytes() == whole.tobytes()
-        assert embed(points, fmap).features.tobytes() == whole.tobytes()
-
-    def test_one_row_tail_breaks_bit_equality(self, monkeypatch):
-        """Negative control: a lone last row goes through a 1-row product,
-        whose bits differ from the same row inside the whole-matrix product."""
-        points, fmap = block_case(Variant.COS_SIN, 2 * BLOCK_ROWS + 1)
-        whole = whole_matrix_features(points, fmap)
-        use_small_blocks(monkeypatch, fmap.spec.output_dim)
-        monkeypatch.setattr(rffkd.features, "_row_blocks", one_row_tail_blocks)
-        got = np.vstack(list(embed_blocks(points, fmap)))
-        assert got[:-1].tobytes() == whole[:-1].tobytes()
-        assert got[-1].tobytes() != whole[-1].tobytes()
-
     def test_row_blocks_tile_rows_without_a_lone_row(self, monkeypatch):
         use_small_blocks(monkeypatch, 16)
         for n in range(1, 4 * BLOCK_ROWS):
@@ -460,10 +438,9 @@ class TestProjectionOverflow:
             embed(PointSet(np.array([[1.001 * edge, 0.0]])), fmap)
 
 
-@pytest.fixture(params=[1, 64], ids=["1cpu", "64cpus"])
-def cpus(request, take_pool):
-    """The usable CPU count the process reports: 1 with the serial loop, 64
-    with the pool."""
+@pytest.fixture(params=["serial", "pooled"])
+def embed_path(request, take_pool):
+    """The pipeline's serial loop, or its pool from two blocks on."""
     take_pool(request.param)
     return request.param
 
@@ -480,14 +457,14 @@ class TestEmbedPipeline:
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("n", BOUNDARY_NS)
-    def test_blocks_equal_whole_matrix_bits(self, monkeypatch, cpus, variant, n):
+    def test_blocks_equal_whole_matrix_bits(self, monkeypatch, embed_path, variant, n):
         points, fmap = block_case(variant, n)
         whole = whole_matrix_features(points, fmap).tobytes()
         use_small_blocks(monkeypatch, fmap.spec.output_dim)
         assert np.vstack(list(embed_blocks(points, fmap))).tobytes() == whole
         assert embed(points, fmap).features.tobytes() == whole
 
-    def test_one_row_tail_breaks_bit_equality(self, monkeypatch, cpus):
+    def test_one_row_tail_breaks_bit_equality(self, monkeypatch, embed_path):
         """Negative control, on both paths: a lone last row changes its bits."""
         points, fmap = block_case(Variant.COS_SIN, 2 * BLOCK_ROWS + 1)
         whole = whole_matrix_features(points, fmap)
@@ -498,7 +475,7 @@ class TestEmbedPipeline:
         assert got[-1].tobytes() != whole[-1].tobytes()
 
     @pytest.mark.parametrize("variant", list(Variant))
-    def test_early_blocks_finishing_last_keep_order_and_bits(self, monkeypatch, cpus, variant):
+    def test_early_blocks_finishing_last_keep_order_and_bits(self, monkeypatch, embed_path, variant):
         """cos/sin of each block waits longer the earlier the block is, so later
         blocks finish first.  Blocks still come out in order, each computed
         from its own projection."""
@@ -516,18 +493,19 @@ class TestEmbedPipeline:
         assert np.vstack(list(embed_blocks(points, fmap))).tobytes() == whole
         assert embed(points, fmap).features.tobytes() == whole
 
-    def test_at_most_two_blocks_in_flight(self, monkeypatch, cpus, pools):
+    def test_at_most_two_blocks_in_flight(self, monkeypatch, report_cpus, embed_path, pools):
         """On the pool, WORKERS = 2 threads and two blocks submitted ahead of
         the one being consumed, never more, with 64 CPUs reported; on the
         serial loop no pool."""
+        report_cpus(64)
         points, fmap = block_case(Variant.COS_SIN, 8 * BLOCK_ROWS)
         use_small_blocks(monkeypatch, fmap.spec.output_dim)
         in_flight = [pools[0].submitted - k if pools else 1
                      for k, _ in enumerate(embed_blocks(points, fmap))]
-        depth = WORKERS if cpus > 1 else 1
+        depth = WORKERS if embed_path == "pooled" else 1
         assert depth <= 2
         assert in_flight == [min(depth, 8 - k) for k in range(8)]
-        assert [pool._max_workers for pool in pools] == ([depth] if cpus > 1 else [])
+        assert [pool._max_workers for pool in pools] == ([depth] if embed_path == "pooled" else [])
 
     @pytest.mark.parametrize("cpus, short, pooled", [(64, 1, False), (64, 0, True)])
     def test_pool_only_from_threshold_blocks(
@@ -566,7 +544,7 @@ class TestEmbedPipeline:
         blocks.close()
         assert threading.active_count() == baseline
 
-    def test_error_in_block_two_after_block_one(self, monkeypatch, cpus):
+    def test_error_in_block_two_after_block_one(self, monkeypatch, embed_path):
         points, fmap = block_case(Variant.COS_SIN, 4 * BLOCK_ROWS)
         whole = whole_matrix_features(points, fmap)
         use_small_blocks(monkeypatch, fmap.spec.output_dim)

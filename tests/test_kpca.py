@@ -390,11 +390,12 @@ class TestKpcaExperiment:
             (Variant.COS_SIN, 50, [100], "got k=50 with n=50"),
             (Variant.COS_SIN, 25, [10], "got k=25 with n=50 and output_dim=20 at t=10"),
             (Variant.COS_SHIFT, 25, [100, 20], "got k=25 with n=50 and output_dim=20 at t=20"),
+            (Variant.COS_SIN, 1, [], "t_list must hold integers >= 1, got []"),
         ],
     )
     def test_k_checked_before_the_exact_side(self, monkeypatch, variant, k, t_list, named):
         """A k that n or some t's output dimension cannot hold is refused, naming
-        that t, before the exact Gram is built."""
+        that t, before the exact Gram is built; so is an empty t_list."""
 
         def no_gram(*args):
             raise AssertionError("gram_exact ran before k was checked")

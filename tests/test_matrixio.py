@@ -212,6 +212,13 @@ class TestReadRawMemory:
         assert b.tobytes() == a.tobytes()
         assert peak <= 1.25 * a.nbytes
 
+    def test_result_is_aligned(self, tmp_path):
+        """The payload is read apart from the 12-byte header, so the view
+        starts on a float64 boundary."""
+        path = tmp_path / "m.bin"
+        write_matrix(path, np.ones((3, 2)), fmt="raw-f64")
+        assert read_matrix(path, fmt="raw-f64").flags.aligned
+
 
 class TestReadCsvMemory:
     def test_result_is_read_only_and_kept_by_point_set(self, tmp_path):

@@ -4,22 +4,21 @@ API, loading each module on first use.  Helpers outside it stay importable
 from their own modules."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
 import rffkd
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
 EXPORTED = ("features", "kernel", "kpca", "matrixio", "planner", "experiments", "verify")
 
-DOCUMENTED = [
-    "Variant", "FeatureMapSpec", "FeatureMap", "Embedding", "sample_map", "embed", "embed_blocks",
-    "Bandwidth", "PointSet", "kernel_distance_exact",
-    "FORMATS", "MatrixFormatError", "read_matrix", "write_matrix", "write_blocks",
-    "DimensionPlan", "plan_per_pair", "plan_finite_points", "plan_bounded_diameter",
-    "PcaReport", "kpca_experiment",
-    "PairExperimentReport", "pairs_experiment", "gen_pairs", "gen_grid_stress", "synth_dataset",
-    "VerifyReport", "run_battery",
-]
+# The names in the bullets "- `module`: `Name`, ..." that follow README's
+# "`rffkd` exports the documented API".
+BULLETS = README.split("`rffkd` exports the documented API")[1].split("\n\n")[1]
+DOCUMENTED = [n for bullet in BULLETS.split("\n- ") for n in re.findall(r"`(\w+)`", bullet)[1:]]
 
 MODULE_ONLY = {
     "verify": [
@@ -94,3 +93,13 @@ def test_module_only_name_imports_from_its_module(module, name):
 def test_unknown_name_is_an_import_error():
     with pytest.raises(ImportError):
         exec("from rffkd import no_such_name", {})
+
+
+def test_readme_example_runs():
+    """README's Python example runs as written, and its pair's embedded
+    distance is within the planned 1 +/- 0.25 of the exact one."""
+    [example] = re.findall(r"```python\n(.*?)```", README, re.S)
+    namespace = {}
+    exec(example, namespace)
+    assert namespace["t"] == 384
+    assert abs(namespace["d_hat"] / namespace["d"] - 1) <= 0.25
