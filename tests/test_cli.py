@@ -186,20 +186,20 @@ class TestEmbed:
 BLOCK_ROWS = 5  # rows per embed block in the streaming tests
 
 
-class TestEmbedStreaming:
-    @pytest.mark.parametrize("path", ["serial", "pooled"])
-    @pytest.mark.parametrize("fmt", ["csv", "raw-f64"])
-    @pytest.mark.parametrize("variant", [v.value for v in Variant])
-    @pytest.mark.parametrize(
+def stream_cases(test):
+    """Each output format and variant, at row counts around the block size."""
+    test = pytest.mark.parametrize(
         "n", [1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
-    )
-    def test_output_bytes_on_either_path(
-        self, tmp_path, capsys, monkeypatch, take_pool, path, fmt, variant, n
-    ):
+    )(test)
+    test = pytest.mark.parametrize("variant", [v.value for v in Variant])(test)
+    return pytest.mark.parametrize("fmt", ["csv", "raw-f64"])(test)
+
+
+class TestEmbedStreaming:
+    @stream_cases
+    def test_output_bytes_equal_whole_matrix(self, tmp_path, capsys, monkeypatch, fmt, variant, n):
         """Block by block, the CLI writes the bytes of the one-product
-        embedding, from the serial loop and from the thread pool, which here
-        takes any input of two blocks or more."""
-        take_pool(path)
+        embedding; these inputs of at most three blocks take the serial loop."""
         pts = np.random.default_rng(n).standard_normal((n, 5))
         src = tmp_path / "pts.bin"
         write_matrix(src, pts, fmt="raw-f64")
@@ -217,6 +217,15 @@ class TestEmbedStreaming:
         )
         assert rc == 0 and err == ""
         assert dest.read_bytes() == whole.read_bytes()
+
+    @stream_cases
+    def test_output_bytes_from_the_pool(
+        self, tmp_path, capsys, monkeypatch, take_pool, fmt, variant, n
+    ):
+        """The same bytes from the thread pool, which here takes any input of
+        two blocks or more."""
+        take_pool("pooled")
+        self.test_output_bytes_equal_whole_matrix(tmp_path, capsys, monkeypatch, fmt, variant, n)
 
     def test_memory_bounded_by_blocks_not_output(self, tmp_path):
         """20000 x 800 output is 128 MB; the CLI holds a few blocks plus the input."""
