@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import integer
-from ._pool import WORKERS, in_order
+from ._pool import WORKERS, in_order, one_blas_thread
 from .kernel import Bandwidth, PointSet, ScaledDiff, _nonnegative, _scalar_or_array
 from .streams import check_seed, row_generators
 
@@ -118,11 +118,13 @@ def sample_map(spec: FeatureMapSpec, dim: int) -> FeatureMap:
 
 
 # Output bytes per row block of embed and embed_blocks.  Peak memory is about
-# WORKERS + 1 blocks of output and projection (see _pipeline).  The bytes are
-# fixed at a given BLAS thread count, not at every count: the projection
-# matmul may sum a row in another order where the thread count moves its tile
-# edges, as `rffkd --seed 3 --sigma 4 --t 300 embed` of a 700 x 32 raw input
-# shows under OPENBLAS_NUM_THREADS=1 and =2.
+# WORKERS + 2 blocks of output and projection: WORKERS + 1 jobs in flight and
+# the block being consumed (see _pipeline).  The projection matmuls run on one
+# OpenBLAS thread, so with numpy's bundled OpenBLAS the bytes do not depend on
+# OPENBLAS_NUM_THREADS; with another BLAS they are fixed at a given thread
+# count only, since a matmul may sum a row in another order where the thread
+# count moves its tile edges (`rffkd --seed 3 --sigma 4 --t 300 embed` of a
+# 700 x 32 raw input did so under OPENBLAS_NUM_THREADS=1 and =2 before the pin).
 BLOCK_BYTES = 2 * 1024 * 1024
 # Fewest blocks for which the pool is used: below this its start and its fill
 # and drain cost about what it saves.  Timed from spawn to exit, `rffkd embed`
@@ -179,26 +181,31 @@ def _check_points(points: PointSet, fmap: FeatureMap) -> None:
         )
 
 
+def _block(data: np.ndarray, fmap: FeatureMap, dest: np.ndarray) -> np.ndarray:
+    """Features of some rows, projection matmul and cos/sin, written into dest."""
+    return _trig_rows(data @ fmap.frequencies.T, fmap, dest)
+
+
 def _pipeline(points: PointSet, fmap: FeatureMap, out: np.ndarray | None = None):
     """Feature row blocks of points, in order: views of out, or fresh arrays.
 
-    The calling thread computes each block's projection matmul as the block is
-    drawn; cos/sin and the scaling, which numpy runs on one thread, go to the
-    package's pool, WORKERS blocks ahead of the one being consumed.  The matmul
-    stays on the calling thread because on the pool it would contend with
-    BLAS's own threads.  Every block goes through the same calls on the same
-    rows either way, so the bytes are the same; with fewer than
-    _POOL_MIN_BLOCKS blocks no pool is built.
+    Each block is one job, its projection matmul and then its cos/sin and
+    scaling, and the jobs go to the package's pool, WORKERS + 1 blocks ahead
+    of the one being consumed; the calling thread only draws jobs and takes
+    blocks.  The whole pipeline runs inside one_blas_thread, on the serial
+    loop too, so the matmuls neither contend with BLAS's own threads nor sum
+    in an order that the thread count sets.  Every block goes through the same
+    calls on the same rows either way, so the bytes are the same; with fewer
+    than _POOL_MIN_BLOCKS blocks no pool is built.
     """
     data, dim = points.data, fmap.spec.output_dim
     blocks = list(_row_blocks(points.n, dim))
-
-    def jobs():
-        for start, stop in blocks:
-            dest = np.empty((stop - start, dim)) if out is None else out[start:stop]
-            yield _trig_rows, data[start:stop] @ fmap.frequencies.T, fmap, dest
-
-    return in_order(jobs(), WORKERS if len(blocks) >= _POOL_MIN_BLOCKS else 0)
+    jobs = (
+        (_block, data[a:b], fmap, np.empty((b - a, dim)) if out is None else out[a:b])
+        for a, b in blocks
+    )
+    with one_blas_thread():
+        yield from in_order(jobs, WORKERS + 1 if len(blocks) >= _POOL_MIN_BLOCKS else 0)
 
 
 def embed(points: PointSet, fmap: FeatureMap) -> Embedding:

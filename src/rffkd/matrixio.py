@@ -15,7 +15,7 @@ from __future__ import annotations
 import struct
 import warnings
 from contextlib import contextmanager
-from os import PathLike
+from os import SEEK_END, PathLike
 
 import numpy as np
 
@@ -149,37 +149,58 @@ def _write_raw_blocks(dest, blocks, shape) -> None:
 def _read_raw(src) -> np.ndarray:
     """Read the raw-f64 format, validating magic, header, and payload size.
 
-    The result is a read-only view of the payload bytes, read apart from the
-    header so that the view is as aligned as any bytes object; read from a
-    path, the payload is held in memory once.
+    The result is a read-only array that holds the payload once, aligned.  It
+    is read into an array of the declared size, allocated only once the file
+    is known to hold that many bytes, so a header that declares more than the
+    file holds cannot force a huge allocation.  A stream that cannot seek is
+    read whole, then checked.
     """
-    # unbuffered: a buffered reader would join its read-ahead to the rest,
-    # holding the payload twice
+    # unbuffered, so nothing is read ahead of the payload
     with _opened(src, "rb", buffering=0) as handle:
         head = handle.read(_HEADER.size)
-        payload = handle.read()
-    size = len(head) + len(payload)
-    if len(head) < _HEADER.size:
-        raise MatrixFormatError(
-            f"truncated header: need {_HEADER.size} bytes, file has {size}", offset=size
-        )
-    magic, n, d = _HEADER.unpack(head)
-    if magic != MAGIC:
-        raise MatrixFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
-    if n < 1 or d < 1:
-        raise MatrixFormatError(f"header declares empty matrix {n}x{d}", offset=4)
-    expected = _HEADER.size + 8 * n * d
-    if size < expected:
-        raise MatrixFormatError(
-            f"payload ends early: {n}x{d} matrix needs {expected} bytes, file has {size}",
-            offset=size,
-        )
-    if size > expected:
-        raise MatrixFormatError(
-            f"trailing bytes after {n}x{d} payload: expected {expected} bytes, file has {size}",
-            offset=expected,
-        )
-    return np.frombuffer(payload, dtype="<f8").reshape(n, d)
+        if len(head) < _HEADER.size:
+            raise MatrixFormatError(
+                f"truncated header: need {_HEADER.size} bytes, file has {len(head)}",
+                offset=len(head),
+            )
+        magic, n, d = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise MatrixFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
+        if n < 1 or d < 1:
+            raise MatrixFormatError(f"header declares empty matrix {n}x{d}", offset=4)
+        if handle.seekable():
+            rest, here = None, handle.tell()
+            size = _HEADER.size + handle.seek(0, SEEK_END) - here
+            handle.seek(here)
+        else:
+            rest = handle.read()
+            size = _HEADER.size + len(rest)
+        expected = _HEADER.size + 8 * n * d
+
+        def ends_early(size):
+            return MatrixFormatError(
+                f"payload ends early: {n}x{d} matrix needs {expected} bytes, file has {size}",
+                offset=size,
+            )
+
+        if size < expected:
+            raise ends_early(size)
+        if size > expected:
+            raise MatrixFormatError(
+                f"trailing bytes after {n}x{d} payload: expected {expected} bytes, file has {size}",
+                offset=expected,
+            )
+        if rest is not None:
+            return np.frombuffer(rest, dtype="<f8").reshape(n, d)
+        out = np.empty((n, d), dtype="<f8")
+        view, done = memoryview(out).cast("B"), 0
+        while done < view.nbytes:
+            got = handle.readinto(view[done:])
+            if not got:  # the file shrank since its size was taken
+                raise ends_early(_HEADER.size + done)
+            done += got
+    out.setflags(write=False)
+    return out
 
 
 def write_matrix(dest, data, fmt: str = "csv") -> None:

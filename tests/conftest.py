@@ -4,9 +4,38 @@ import concurrent.futures
 import os
 import sys
 
+import numpy as np
 import pytest
 
+import rffkd._pool
 import rffkd.features
+
+
+@pytest.fixture
+def bundled_openblas():
+    """Skips the test unless numpy's build names its BLAS scipy-openblas, the
+    OpenBLAS bundled in its wheels."""
+    try:
+        name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # a numpy that does not say
+        name = None
+    if name != "scipy-openblas":
+        pytest.skip(f"numpy's BLAS is {name!r}, not its bundled scipy-openblas")
+
+
+@pytest.fixture
+def blas_threads(bundled_openblas):
+    """The getter of numpy's OpenBLAS thread count, with the count set to 2
+    until the test ends; no one may hold the pin before or after."""
+    threads = rffkd._pool._find_blas_threads()
+    assert threads is not None, "no thread-count symbols found in numpy's scipy-openblas"
+    get, set_ = threads
+    saved = get()
+    set_(2)
+    assert rffkd._pool._pin_users == 0
+    yield get
+    set_(saved)
+    assert rffkd._pool._pin_users == 0, "a pipeline did not leave the pin"
 
 
 @pytest.fixture

@@ -277,6 +277,47 @@ class TestEmbedStreaming:
         self.test_memory_bounded_by_blocks_not_output(tmp_path)
 
 
+# Embeds every case of the thread-count contract, one sha256 a line: both
+# variants over d in {3, 8, 32, 256} x t in {8, 300, 800} (2000 points; the
+# CosSin cases at t = 800 are 13 blocks, so pooled), then the CLI on argv,
+# whose output file is the last argument.
+EMBED_CASES = """
+import hashlib, sys
+import numpy as np
+import rffkd.cli
+from rffkd import Bandwidth, FeatureMapSpec, PointSet, Variant, embed, sample_map
+for variant in Variant:
+    for dim in (3, 8, 32, 256):
+        points = PointSet(np.random.default_rng(dim).standard_normal((2000, dim)))
+        for t in (8, 300, 800):
+            fmap = sample_map(FeatureMapSpec(variant, Bandwidth(4.0), t, 3), dim)
+            print(variant.value, dim, t, hashlib.sha256(embed(points, fmap).features).hexdigest())
+assert rffkd.cli.main(sys.argv[1:]) == 0
+print("cli", hashlib.sha256(open(sys.argv[-1], "rb").read()).hexdigest())
+"""
+
+
+def test_embed_bytes_do_not_depend_on_blas_threads(tmp_path, bundled_openblas):
+    """The same sha256 for every case under one and two OpenBLAS threads.
+    The CLI case, `--seed 3 --sigma 4 --t 300 embed` of a 700 x 32 raw input,
+    differed between the two when the projection ran on BLAS's own threads."""
+    points = tmp_path / "points.f64"
+    assert main([
+        "--seed", "3", "gen", "--kind", "synth", "--n", "700", "--dim", "32",
+        "--output", str(points), "--output-format", "raw-f64",
+    ]) == 0
+    argv = [
+        "--seed", "3", "--sigma", "4", "--t", "300", "embed", "--input", points,
+        "--input-format", "raw-f64", "--output-format", "raw-f64", "--output",
+    ]
+    one, two = (
+        fresh_stdout(EMBED_CASES, *argv, tmp_path / f"out{k}.f64", OPENBLAS_NUM_THREADS=str(k))
+        .splitlines() for k in (1, 2)
+    )
+    assert len(one) == 25
+    assert one == two
+
+
 class TestGen:
     def test_synth_shape(self, capsys):
         rc, out, _ = run_cli(
@@ -727,17 +768,23 @@ def test_console_script_end_to_end():
     assert "205" in proc.stdout
 
 
-def loaded(statement):
-    """The modules a fresh interpreter has loaded after the statement."""
-    env = dict(os.environ)
+def fresh_stdout(code, *argv, **env):
+    """stdout of a fresh interpreter that runs code with argv, with the
+    package's source on its path and env added to its environment."""
+    env = {**os.environ, **env}
     src = str(Path(rffkd.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = f"{statement}\nimport sys\nprint(*sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", code, *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+    return proc.stdout
+
+
+def loaded(statement):
+    """The modules a fresh interpreter has loaded after the statement."""
+    return set(fresh_stdout(f"{statement}\nimport sys\nprint(*sys.modules)").split())
 
 
 def imports(module, statement):

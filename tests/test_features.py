@@ -23,6 +23,7 @@ from rffkd import (
     embed,
     sample_map,
 )
+import rffkd._pool
 import rffkd.features
 from rffkd._pool import WORKERS
 from rffkd.features import embed_blocks, projected_frequencies, sq_distance_from_projections
@@ -493,19 +494,22 @@ class TestEmbedPipeline:
         assert np.vstack(list(embed_blocks(points, fmap))).tobytes() == whole
         assert embed(points, fmap).features.tobytes() == whole
 
-    def test_at_most_two_blocks_in_flight(self, monkeypatch, report_cpus, embed_path, pools):
-        """On the pool, WORKERS = 2 threads and two blocks submitted ahead of
-        the one being consumed, never more, with 64 CPUs reported; on the
-        serial loop no pool."""
+    def test_at_most_workers_plus_one_blocks_in_flight(
+        self, monkeypatch, report_cpus, embed_path, pools
+    ):
+        """On the pool, WORKERS = 2 threads and WORKERS + 1 blocks submitted
+        ahead of the one being consumed, never more, with 64 CPUs reported; on
+        the serial loop no pool."""
         report_cpus(64)
         points, fmap = block_case(Variant.COS_SIN, 8 * BLOCK_ROWS)
         use_small_blocks(monkeypatch, fmap.spec.output_dim)
         in_flight = [pools[0].submitted - k if pools else 1
                      for k, _ in enumerate(embed_blocks(points, fmap))]
-        depth = WORKERS if embed_path == "pooled" else 1
-        assert depth <= 2
+        depth = WORKERS + 1 if embed_path == "pooled" else 1
+        assert depth <= 3
         assert in_flight == [min(depth, 8 - k) for k in range(8)]
-        assert [pool._max_workers for pool in pools] == ([depth] if embed_path == "pooled" else [])
+        workers = [WORKERS] if embed_path == "pooled" else []
+        assert [pool._max_workers for pool in pools] == workers
 
     @pytest.mark.parametrize("cpus, short, pooled", [(64, 1, False), (64, 0, True)])
     def test_pool_only_from_threshold_blocks(
@@ -548,21 +552,126 @@ class TestEmbedPipeline:
         points, fmap = block_case(Variant.COS_SIN, 4 * BLOCK_ROWS)
         whole = whole_matrix_features(points, fmap)
         use_small_blocks(monkeypatch, fmap.spec.output_dim)
-        ranks = block_ranks(points, fmap)
-        trig = rffkd.features._trig_rows
-
-        def failing_trig(proj, fmap, out):
-            if ranks[proj[0, 0]] == 1:
-                raise RuntimeError("cos/sin failed on block 2")
-            return trig(proj, fmap, out)
-
-        monkeypatch.setattr(rffkd.features, "_trig_rows", failing_trig)
+        fail_in_block_two(monkeypatch, points, fmap)
         baseline = threading.active_count()
         blocks = embed_blocks(points, fmap)
         assert next(blocks).tobytes() == whole[:BLOCK_ROWS].tobytes()
         with pytest.raises(RuntimeError, match="block 2"):
             next(blocks)
         assert threading.active_count() == baseline
+
+
+def fail_in_block_two(monkeypatch, points, fmap):
+    """Make cos/sin raise on the second block of points."""
+    ranks = block_ranks(points, fmap)
+    trig = rffkd.features._trig_rows
+
+    def failing_trig(proj, fmap, out):
+        if ranks[proj[0, 0]] == 1:
+            raise RuntimeError("cos/sin failed on block 2")
+        return trig(proj, fmap, out)
+
+    monkeypatch.setattr(rffkd.features, "_trig_rows", failing_trig)
+
+
+def record_blas_threads(monkeypatch, get):
+    """The OpenBLAS thread count at each block's cos/sin, as a growing list."""
+    seen = []
+    trig = rffkd.features._trig_rows
+
+    def recording_trig(proj, fmap, out):
+        seen.append(get())
+        return trig(proj, fmap, out)
+
+    monkeypatch.setattr(rffkd.features, "_trig_rows", recording_trig)
+    return seen
+
+
+class TestBlasPin:
+    """The pipeline runs on one OpenBLAS thread and gives the caller's thread
+    count back however it ends.  The blas_threads fixture sets that count to
+    2, so a count left at 1 shows."""
+
+    @pytest.mark.parametrize("run", ["embed", "embed_blocks"])
+    def test_full_run(self, monkeypatch, blas_threads, embed_path, run):
+        points, fmap = block_case(Variant.COS_SIN, 4 * BLOCK_ROWS)
+        use_small_blocks(monkeypatch, fmap.spec.output_dim)
+        seen = record_blas_threads(monkeypatch, blas_threads)
+        if run == "embed":
+            embed(points, fmap)
+        else:
+            list(embed_blocks(points, fmap))
+        assert seen == [1] * 4
+        assert blas_threads() == 2
+
+    def test_early_close(self, monkeypatch, blas_threads, embed_path):
+        points, fmap = block_case(Variant.COS_SIN, 8 * BLOCK_ROWS)
+        use_small_blocks(monkeypatch, fmap.spec.output_dim)
+        blocks = embed_blocks(points, fmap)
+        assert blas_threads() == 2  # the generator has not started
+        next(blocks)
+        assert blas_threads() == 1
+        blocks.close()
+        assert blas_threads() == 2
+
+    def test_error_in_block_two(self, monkeypatch, blas_threads, embed_path):
+        points, fmap = block_case(Variant.COS_SIN, 4 * BLOCK_ROWS)
+        use_small_blocks(monkeypatch, fmap.spec.output_dim)
+        fail_in_block_two(monkeypatch, points, fmap)
+        with pytest.raises(RuntimeError, match="block 2"):
+            embed(points, fmap)
+        assert blas_threads() == 2
+
+    def test_two_threads_embedding_at_once(self, monkeypatch, blas_threads):
+        """Both embeds hold the pin at once; after the first leaves, the
+        count stays 1 until the second does."""
+        points, fmap = block_case(Variant.COS_SIN, 4 * BLOCK_ROWS)
+        whole = whole_matrix_features(points, fmap).tobytes()
+        use_small_blocks(monkeypatch, fmap.spec.output_dim)
+        both_in, first_out = threading.Barrier(2, timeout=30), threading.Event()
+        ranks = block_ranks(points, fmap)
+        trig = rffkd.features._trig_rows
+
+        def meeting_trig(proj, fmap, out):
+            if ranks[proj[0, 0]] == 0:
+                both_in.wait()
+                if threading.current_thread().name == "second":
+                    assert first_out.wait(timeout=30)
+            return trig(proj, fmap, out)
+
+        monkeypatch.setattr(rffkd.features, "_trig_rows", meeting_trig)
+        got = {}
+
+        def run():
+            got[threading.current_thread().name] = embed(points, fmap).features.tobytes()
+
+        threads = [threading.Thread(target=run, name=name) for name in ("first", "second")]
+        for thread in threads:
+            thread.start()
+        threads[0].join(timeout=30)
+        during = blas_threads()  # the second embed still runs
+        first_out.set()
+        threads[1].join(timeout=30)
+        assert during == 1
+        assert got == {"first": whole, "second": whole}
+        assert blas_threads() == 2
+
+    def test_without_the_symbols(self, monkeypatch, blas_threads, embed_path):
+        """Where the lookup fails, the pipeline leaves the count alone and
+        gives the bytes of its own calls at that count."""
+        monkeypatch.setattr(rffkd._pool, "_OPENBLAS_THREADS", ("no_such_get", "no_such_set"))
+        monkeypatch.setattr(rffkd._pool, "_blas_threads", rffkd._pool._UNRESOLVED)
+        points, fmap = block_case(Variant.COS_SHIFT, 4 * BLOCK_ROWS)
+        use_small_blocks(monkeypatch, fmap.spec.output_dim)
+        trig = rffkd.features._trig_rows
+        want = np.vstack([
+            trig(points.data[a:b] @ fmap.frequencies.T, fmap, np.empty((b - a, 64)))
+            for a, b in rffkd.features._row_blocks(points.n, 64)
+        ])
+        seen = record_blas_threads(monkeypatch, blas_threads)
+        assert embed(points, fmap).features.tobytes() == want.tobytes()
+        assert seen == [2] * 4
+        assert rffkd._pool._blas_threads is None
 
 
 class TestProjections:

@@ -5,6 +5,7 @@ digits; the raw format is checked byte-for-byte including its header
 layout, and every failure mode must report the right byte offset.
 """
 
+import contextlib
 import io
 import struct
 import threading
@@ -197,6 +198,19 @@ class TestRaw:
             read_matrix(path, fmt="raw-f64")
 
 
+class NoSeek(io.RawIOBase):
+    """Bytes readable as a pipe is: no seek, no tell."""
+
+    def __init__(self, data):
+        self.data = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        return self.data.readinto(b)
+
+
 class TestReadRawMemory:
     def test_payload_held_once(self, tmp_path):
         """The read keeps the bytes it read; a converted copy would double the peak."""
@@ -211,6 +225,51 @@ class TestReadRawMemory:
             tracemalloc.stop()
         assert b.tobytes() == a.tobytes()
         assert peak <= 1.25 * a.nbytes
+
+    def test_payload_held_once_from_an_open_file(self, tmp_path):
+        """A buffered reader's read-ahead from the header is not joined to a
+        second copy of the payload."""
+        a = np.random.default_rng(1).standard_normal((512, 1024))
+        path = tmp_path / "m.bin"
+        write_matrix(path, a, fmt="raw-f64")
+        with open(path, "rb") as handle:
+            tracemalloc.start()
+            try:
+                b = read_matrix(handle, fmt="raw-f64")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert b.tobytes() == a.tobytes()
+        assert not b.flags.writeable
+        assert peak <= 1.25 * a.nbytes
+
+    @pytest.mark.parametrize("opened", [False, True])
+    def test_huge_declared_size_allocates_nothing(self, tmp_path, opened):
+        """A short file whose header declares (2^32 - 1) x (2^32 - 1) is
+        refused before a payload of that size is allocated."""
+        path = tmp_path / "m.bin"
+        big = 2**32 - 1
+        path.write_bytes(struct.pack("<4sII", MAGIC, big, big) + bytes(64))
+        with open(path, "rb") if opened else contextlib.nullcontext(path) as src:
+            tracemalloc.start()
+            try:
+                with pytest.raises(MatrixFormatError, match="payload ends early") as info:
+                    read_matrix(src, fmt="raw-f64")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert info.value.offset == 12 + 64
+        assert peak < 1 << 20
+
+    def test_stream_that_cannot_seek(self, tmp_path):
+        a = np.random.default_rng(3).standard_normal((40, 3))
+        buf = io.BytesIO()
+        write_matrix(buf, a, fmt="raw-f64")
+        stream = io.BufferedReader(NoSeek(buf.getvalue()))
+        assert read_matrix(stream, fmt="raw-f64").tobytes() == a.tobytes()
+        short = io.BufferedReader(NoSeek(buf.getvalue()[:-8]))
+        with pytest.raises(MatrixFormatError, match="payload ends early"):
+            read_matrix(short, fmt="raw-f64")
 
     def test_result_is_aligned(self, tmp_path):
         """The payload is read apart from the 12-byte header, so the view
