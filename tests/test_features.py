@@ -453,6 +453,17 @@ def block_ranks(points, fmap):
     return {(points.data[a:b] @ fmap.frequencies.T)[0, 0]: i for i, (a, b) in enumerate(blocks)}
 
 
+def before_trig(monkeypatch, hook):
+    """Call hook(proj) before each block's cos/sin."""
+    trig = rffkd.features._trig_rows
+
+    def hooked_trig(proj, fmap, out):
+        hook(proj)
+        return trig(proj, fmap, out)
+
+    monkeypatch.setattr(rffkd.features, "_trig_rows", hooked_trig)
+
+
 class TestEmbedPipeline:
     """The block pipeline on its serial loop and on the thread pool."""
 
@@ -484,13 +495,9 @@ class TestEmbedPipeline:
         whole = whole_matrix_features(points, fmap).tobytes()
         use_small_blocks(monkeypatch, fmap.spec.output_dim)
         ranks = block_ranks(points, fmap)
-        trig = rffkd.features._trig_rows
-
-        def slow_early_trig(proj, fmap, out):
-            time.sleep(0.003 * (len(ranks) - ranks.get(proj[0, 0], 0)))
-            return trig(proj, fmap, out)
-
-        monkeypatch.setattr(rffkd.features, "_trig_rows", slow_early_trig)
+        before_trig(
+            monkeypatch, lambda proj: time.sleep(0.003 * (len(ranks) - ranks.get(proj[0, 0], 0)))
+        )
         assert np.vstack(list(embed_blocks(points, fmap))).tobytes() == whole
         assert embed(points, fmap).features.tobytes() == whole
 
@@ -564,26 +571,18 @@ class TestEmbedPipeline:
 def fail_in_block_two(monkeypatch, points, fmap):
     """Make cos/sin raise on the second block of points."""
     ranks = block_ranks(points, fmap)
-    trig = rffkd.features._trig_rows
 
-    def failing_trig(proj, fmap, out):
+    def fail(proj):
         if ranks[proj[0, 0]] == 1:
             raise RuntimeError("cos/sin failed on block 2")
-        return trig(proj, fmap, out)
 
-    monkeypatch.setattr(rffkd.features, "_trig_rows", failing_trig)
+    before_trig(monkeypatch, fail)
 
 
 def record_blas_threads(monkeypatch, get):
     """The OpenBLAS thread count at each block's cos/sin, as a growing list."""
     seen = []
-    trig = rffkd.features._trig_rows
-
-    def recording_trig(proj, fmap, out):
-        seen.append(get())
-        return trig(proj, fmap, out)
-
-    monkeypatch.setattr(rffkd.features, "_trig_rows", recording_trig)
+    before_trig(monkeypatch, lambda proj: seen.append(get()))
     return seen
 
 
@@ -630,16 +629,14 @@ class TestBlasPin:
         use_small_blocks(monkeypatch, fmap.spec.output_dim)
         both_in, first_out = threading.Barrier(2, timeout=30), threading.Event()
         ranks = block_ranks(points, fmap)
-        trig = rffkd.features._trig_rows
 
-        def meeting_trig(proj, fmap, out):
+        def meet(proj):
             if ranks[proj[0, 0]] == 0:
                 both_in.wait()
                 if threading.current_thread().name == "second":
                     assert first_out.wait(timeout=30)
-            return trig(proj, fmap, out)
 
-        monkeypatch.setattr(rffkd.features, "_trig_rows", meeting_trig)
+        before_trig(monkeypatch, meet)
         got = {}
 
         def run():
