@@ -13,6 +13,7 @@ the outer jobs would hold every worker their inner jobs wait for.
 
 import threading
 from contextlib import contextmanager
+from functools import cache
 from itertools import islice
 
 WORKERS = 2
@@ -43,14 +44,13 @@ def in_order(jobs, ahead: int):
 # The thread-count getter and setter that numpy's bundled OpenBLAS (the
 # scipy-openblas wheels) exports under its own prefix.
 _OPENBLAS_THREADS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
-_UNRESOLVED = object()
 # Module state, as the thread count it guards is process-wide.
-_blas_threads = _UNRESOLVED  # (get, set), or None where numpy has no such OpenBLAS
 _pin_lock = threading.Lock()
 _pin_users = 0
 _pin_saved = 0
 
 
+@cache
 def _find_blas_threads():
     """(get, set) from numpy's bundled OpenBLAS, or None when it has none:
     numpy built against a system OpenBLAS, MKL or Accelerate."""
@@ -84,11 +84,9 @@ def one_blas_thread():
     nothing, and BLAS keeps its own thread count.  The library is looked up on
     first use, not at import.
     """
-    global _blas_threads, _pin_users, _pin_saved
+    global _pin_users, _pin_saved
     with _pin_lock:
-        if _blas_threads is _UNRESOLVED:
-            _blas_threads = _find_blas_threads()
-        threads = _blas_threads
+        threads = _find_blas_threads()
         if threads is not None:
             if not _pin_users:
                 _pin_saved = threads[0]()

@@ -32,6 +32,8 @@ __all__ = [
 
 # Desk-scale cap on grid stress sets: dim * point count.
 GRID_SIZE_LIMIT = 100_000
+# Standard deviation of synth_dataset's cluster centers, per coordinate.
+_CENTER_SPREAD = 4.0
 
 
 @dataclass(frozen=True)
@@ -168,20 +170,17 @@ def gen_grid_stress(dim: int, diameter: float, sigma: Bandwidth, epsilon: float)
     return PointSet(np.stack([m.ravel() for m in mesh], axis=1))
 
 
-def synth_dataset(
-    n: int, dim: int, clusters: int, seed: int, center_spread: float = 4.0
-) -> PointSet:
+def synth_dataset(n: int, dim: int, clusters: int, seed: int) -> PointSet:
     """Equal-weight Gaussian mixture sample.
 
     Cluster centers are drawn first from the seed's stream as
-    N(0, center_spread^2 I); the n points then cycle through the clusters
+    N(0, 4^2 I); the n points then cycle through the clusters
     round-robin with unit isotropic noise, so cluster sizes are balanced.
     """
     n, dim, clusters = integer("n", n), integer("dim", dim), integer("clusters", clusters)
     if clusters > n:
         raise ValueError(f"clusters must lie in [1, n], got {clusters} with n={n}")
-    real("center_spread", center_spread, 0.0, lo_open=False)
     gen = generator(seed)
-    centers = center_spread * gen.standard_normal((clusters, dim))
+    centers = _CENTER_SPREAD * gen.standard_normal((clusters, dim))
     labels = np.arange(n) % clusters
     return PointSet(centers[labels] + gen.standard_normal((n, dim)))

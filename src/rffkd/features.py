@@ -126,11 +126,10 @@ def sample_map(spec: FeatureMapSpec, dim: int) -> FeatureMap:
 # count moves its tile edges (`rffkd --seed 3 --sigma 4 --t 300 embed` of a
 # 700 x 32 raw input did so under OPENBLAS_NUM_THREADS=1 and =2 before the pin).
 BLOCK_BYTES = 2 * 1024 * 1024
-# Fewest blocks for which the pool is used: below this its start and its fill
-# and drain cost about what it saves.  Timed from spawn to exit, `rffkd embed`
-# of 256-d points at t = 800 to raw-f64 ran pooled against serial at +11% with
-# 3 blocks, within 4% of it with 4 to 10 and 5 to 17% faster with 12 to 32
-# (median of 30 paired runs each, 2-vCPU Xeon, one OpenBLAS thread).
+# Fewest blocks for which the pool is used.  Pooling every block count instead
+# raised `kpca`'s peak_rss_mb 51.6 -> 54.6 MB (16 of 16 alternating pairs of 6 s
+# `benchmarks/run.py` runs, 2-vCPU Xeon) and resolved no wall time on `kpca` or
+# `embed-csv` (5 and 6 of 16 pairs faster), whose inputs are 1 to 4 blocks.
 _POOL_MIN_BLOCKS = 12
 
 

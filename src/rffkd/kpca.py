@@ -77,13 +77,14 @@ def gram_exact(points: PointSet, sigma: Bandwidth) -> GramMatrix:
     """
     x = points.data - points.data.mean(axis=0)
     norms = np.einsum("ij,ij->i", x, x)
+    # numpy computes x @ x.T as one triangle and mirrors it, so sq and g are
+    # exactly symmetric
     sq = norms[:, None] + norms[None, :] - 2.0 * (x @ x.T)
     np.maximum(sq, 0.0, out=sq)
     # at the smallest bandwidths the exponent of far pairs overflows to -inf,
     # whose exp is the correct 0, so that overflow need not warn
     with np.errstate(over="ignore"):
         g = np.exp(sq * (-0.5 / sigma.sigma**2))
-    g = 0.5 * (g + g.T)
     np.fill_diagonal(g, 1.0)
     g.setflags(write=False)
     return GramMatrix(g=g, centered=False)
@@ -111,7 +112,6 @@ def center_gram(gram: GramMatrix) -> GramMatrix:
 def _descending_eigvals(g: np.ndarray) -> np.ndarray:
     vals = np.linalg.eigvalsh(g)[::-1]
     top = max(float(vals[0]), 0.0)
-    vals = vals.copy()
     vals[vals < _EIG_CLAMP * top] = 0.0
     return vals
 

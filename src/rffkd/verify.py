@@ -71,6 +71,14 @@ def _one_sided(name: str, samples: int, statistic: float, bound: float, std_err:
     )
 
 
+def _violation_rate(name: str, violated: np.ndarray, delta: float) -> VerifyReport:
+    """One-sided report of the fraction of trials violated, against delta,
+    with the binomial standard error of a fraction whose rate is delta."""
+    trials = violated.size
+    std_err = math.sqrt(delta * (1.0 - delta) / trials)
+    return _one_sided(name, trials, float(np.mean(violated)), delta, std_err)
+
+
 def _two_sided(name: str, samples: int, statistic: float, target: float, std_err: float) -> VerifyReport:
     return VerifyReport(
         check_name=name,
@@ -164,14 +172,10 @@ def check_chi_square(epsilon: float, delta: float, trials: int, seed: int) -> Ve
     t = plan_per_pair(epsilon, delta).pair_count
     w = _generator(seed).standard_normal((trials, t))
     mean_sq = np.mean(w * w, axis=1)
-    violations = float(np.mean((mean_sq < 1.0 - epsilon) | (mean_sq > 1.0 + epsilon)))
-    std_err = math.sqrt(delta * (1.0 - delta) / trials)
-    return _one_sided(
+    return _violation_rate(
         f"mean_sq_projection_concentration[eps={epsilon:g};delta={delta:g};t={t}]",
-        trials,
-        violations,
+        (mean_sq < 1.0 - epsilon) | (mean_sq > 1.0 + epsilon),
         delta,
-        std_err,
     )
 
 
@@ -292,14 +296,10 @@ def check_tail_bound(
     t = math.ceil((6.0 / epsilon**2) * (r**4 / d_sq**2) * math.log(2.0 / delta))
     w = _generator(seed).standard_normal((trials, t))
     d_hat_sq = sq_distance_from_projections(w, np.full(trials, r))
-    violations = float(np.mean(np.abs(d_hat_sq / d_sq - 1.0) > epsilon))
-    std_err = math.sqrt(delta * (1.0 - delta) / trials)
-    return _one_sided(
+    return _violation_rate(
         f"relative_error_tail[r={r:g};eps={epsilon:g};delta={delta:g};t={t}]",
-        trials,
-        violations,
+        np.abs(d_hat_sq / d_sq - 1.0) > epsilon,
         delta,
-        std_err,
     )
 
 

@@ -98,9 +98,6 @@ REALS = {
     "PairExperimentConfig.dist_max": ("dist_max", lambda v: gen_pairs(4, 2, 1.0, 0.5, v, 0), 1e3),
     "gen_grid_stress.diameter": ("diameter", lambda v: gen_grid_stress(2, v, SIGMA, 0.25), 1.0),
     "gen_grid_stress.epsilon": ("epsilon", lambda v: gen_grid_stress(2, 1.0, SIGMA, v), 0.25),
-    "synth_dataset.center_spread": (
-        "center_spread", lambda v: synth_dataset(5, 2, 1, 0, center_spread=v), 2.0
-    ),
     "plan_per_pair.epsilon": ("epsilon", lambda v: plan_per_pair(v, 0.2), 0.3),
     "plan_per_pair.delta": ("delta", lambda v: plan_per_pair(0.3, v), 0.2),
     "plan_per_pair.constant": ("constant", lambda v: plan_per_pair(0.3, 0.2, v), 4.0),

@@ -299,15 +299,13 @@ class TestSynthDataset:
         assert float(gap.max()) <= 3.0 / math.sqrt(4000)
 
     def test_round_robin_cluster_sizes(self):
-        """With centers pushed far apart, nearest-center assignment recovers
-        balanced cluster sizes (97 points over 10 clusters: sizes 9 or 10)."""
-        pts = synth_dataset(97, 5, 10, seed=3, center_spread=1e6)
+        """Point i is center i mod 10 plus noise row i, both re-derived from
+        the documented stream layout: the centers first, then the noise."""
+        pts = synth_dataset(97, 5, 10, seed=3)
         gen = generator(3)
-        centers = 1e6 * gen.standard_normal((10, 5))
-        d2 = ((pts.data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-        counts = np.bincount(d2.argmin(axis=1), minlength=10)
-        want = np.bincount(np.arange(97) % 10)
-        np.testing.assert_array_equal(np.sort(counts), np.sort(want))
+        centers = 4.0 * gen.standard_normal((10, 5))
+        noise = gen.standard_normal((97, 5))
+        np.testing.assert_array_equal(pts.data, centers[np.arange(97) % 10] + noise)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n must be"):
@@ -316,5 +314,3 @@ class TestSynthDataset:
             synth_dataset(5, 3, 6, seed=0)
         with pytest.raises(ValueError, match="clusters"):
             synth_dataset(5, 3, 0, seed=0)
-        with pytest.raises(ValueError, match="center_spread"):
-            synth_dataset(5, 3, 2, seed=0, center_spread=-1.0)

@@ -518,14 +518,10 @@ class TestEmbedPipeline:
         workers = [WORKERS] if embed_path == "pooled" else []
         assert [pool._max_workers for pool in pools] == workers
 
-    @pytest.mark.parametrize("cpus, short, pooled", [(64, 1, False), (64, 0, True)])
-    def test_pool_only_from_threshold_blocks(
-        self, monkeypatch, report_cpus, pools, cpus, short, pooled
-    ):
-        """At the default threshold, with 64 CPUs reported: fewer than
-        _POOL_MIN_BLOCKS blocks run the serial loop; the bytes are the same
-        either way."""
-        report_cpus(cpus)
+    @pytest.mark.parametrize("short, pooled", [(1, False), (0, True)])
+    def test_pool_only_from_threshold_blocks(self, monkeypatch, pools, short, pooled):
+        """At the default threshold, fewer than _POOL_MIN_BLOCKS blocks run
+        the serial loop; the bytes are the same either way."""
         blocks = rffkd.features._POOL_MIN_BLOCKS - short
         points, fmap = block_case(Variant.COS_SIN, blocks * BLOCK_ROWS)
         whole = whole_matrix_features(points, fmap).tobytes()
@@ -657,18 +653,22 @@ class TestBlasPin:
         """Where the lookup fails, the pipeline leaves the count alone and
         gives the bytes of its own calls at that count."""
         monkeypatch.setattr(rffkd._pool, "_OPENBLAS_THREADS", ("no_such_get", "no_such_set"))
-        monkeypatch.setattr(rffkd._pool, "_blas_threads", rffkd._pool._UNRESOLVED)
-        points, fmap = block_case(Variant.COS_SHIFT, 4 * BLOCK_ROWS)
-        use_small_blocks(monkeypatch, fmap.spec.output_dim)
-        trig = rffkd.features._trig_rows
-        want = np.vstack([
-            trig(points.data[a:b] @ fmap.frequencies.T, fmap, np.empty((b - a, 64)))
-            for a, b in rffkd.features._row_blocks(points.n, 64)
-        ])
-        seen = record_blas_threads(monkeypatch, blas_threads)
-        assert embed(points, fmap).features.tobytes() == want.tobytes()
-        assert seen == [2] * 4
-        assert rffkd._pool._blas_threads is None
+        find = rffkd._pool._find_blas_threads
+        find.cache_clear()
+        try:
+            points, fmap = block_case(Variant.COS_SHIFT, 4 * BLOCK_ROWS)
+            use_small_blocks(monkeypatch, fmap.spec.output_dim)
+            trig = rffkd.features._trig_rows
+            want = np.vstack([
+                trig(points.data[a:b] @ fmap.frequencies.T, fmap, np.empty((b - a, 64)))
+                for a, b in rffkd.features._row_blocks(points.n, 64)
+            ])
+            seen = record_blas_threads(monkeypatch, blas_threads)
+            assert embed(points, fmap).features.tobytes() == want.tobytes()
+            assert seen == [2] * 4
+            assert find() is None
+        finally:
+            find.cache_clear()  # a cached None would turn the pin off for later tests
 
 
 class TestProjections:

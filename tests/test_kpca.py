@@ -84,8 +84,12 @@ class TestGramExact:
         assert np.all(np.diag(g) == 1.0)
 
     def test_exactly_symmetric(self):
-        g = gram_exact(small_points(30, 5), Bandwidth(2.0)).g
-        assert np.array_equal(g, g.T)
+        """Bit for bit, with no symmetrising pass: x @ x.T computes one
+        triangle and mirrors it.  At 250 x 256 (the kpca benchmark's shape)
+        and 777 x 33 a plain gemm of x and a copy of x.T is not symmetric."""
+        for n, dim in [(30, 5), (250, 256), (777, 33)]:
+            g = gram_exact(small_points(n, dim), Bandwidth(2.0)).g
+            assert np.array_equal(g, g.T), (n, dim)
 
     def test_positive_semidefinite(self):
         g = gram_exact(small_points(60, 4, seed=3), Bandwidth(1.0)).g
