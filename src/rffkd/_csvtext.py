@@ -22,9 +22,7 @@ lock, so chunks can be formatted on threads at once.  A value x with
 
 Every other value (zeros, subnormals, |x| < 1e-4 in scientific notation,
 |x| >= 1e16, inf and nan) gets the text "%.17g" and goes through one
-'%' formatting of the joined text, batched over the chunk.  A chunk where
-such values are the majority goes through '%' whole, which is then no
-slower.
+'%' formatting of the joined text, batched over the chunk.
 """
 
 import numpy as np
@@ -155,11 +153,6 @@ def csv_text(chunk: np.ndarray) -> str:
     a = np.abs(x)
     fixed = (a >= 1e-4) & (a < 1e16)
     other = np.flatnonzero(~fixed)
-    if 2 * other.size > x.size:
-        # '%' on every value then costs no more than the arrays' work plus
-        # '%' on most of them
-        line = b",".join([b"%.17g"] * d) + b"\n"
-        return (line * rows % tuple(x.tolist())).decode("ascii")
     a[other] = 1.0
     words, length = _fixed_text(a, np.signbit(x))
     del a

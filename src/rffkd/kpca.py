@@ -42,10 +42,6 @@ class GramMatrix:
     g: np.ndarray
     centered: bool
 
-    @property
-    def n(self) -> int:
-        return self.g.shape[0]
-
 
 @dataclass(frozen=True)
 class PcaReport:
@@ -77,43 +73,41 @@ def gram_exact(points: PointSet, sigma: Bandwidth) -> GramMatrix:
     """
     x = points.data - points.data.mean(axis=0)
     norms = np.einsum("ij,ij->i", x, x)
-    # numpy computes x @ x.T as one triangle and mirrors it, so sq and g are
-    # exactly symmetric
-    sq = norms[:, None] + norms[None, :] - 2.0 * (x @ x.T)
-    np.maximum(sq, 0.0, out=sq)
+    # numpy computes x @ x.T as one triangle and mirrors it, so g is exactly
+    # symmetric; each later step works entry by entry in g itself
+    g = x @ x.T
+    g *= 2.0
+    np.subtract(np.add.outer(norms, norms), g, out=g)
+    np.maximum(g, 0.0, out=g)
     # at the smallest bandwidths the exponent of far pairs overflows to -inf,
     # whose exp is the correct 0, so that overflow need not warn
     with np.errstate(over="ignore"):
-        g = np.exp(sq * (-0.5 / sigma.sigma**2))
+        g *= -0.5 / sigma.sigma**2
+        np.exp(g, out=g)
     np.fill_diagonal(g, 1.0)
     g.setflags(write=False)
     return GramMatrix(g=g, centered=False)
 
 
 def center_gram(gram: GramMatrix) -> GramMatrix:
-    """Double-center a Gram matrix: G - row means - column means + total mean.
+    """Double-center a symmetric Gram matrix: G_ij - r_i - r_j + mean(r),
+    where r holds the row means.
 
     Equivalent to replacing each feature-space image by its offset from the
-    feature-space mean.  Centering an already centered matrix is refused
-    (it would silently be a no-op up to float noise).
+    feature-space mean.  The input must be symmetric, as gram_exact's is, so
+    that its column means are its row means; r_i + r_j is then the same
+    double as r_j + r_i, and the output is exactly symmetric.  Centering an
+    already centered matrix is refused (it would silently be a no-op up to
+    float noise).
     """
     if gram.centered:
         raise ValueError("gram matrix is already centered")
-    g = gram.g
-    row = g.mean(axis=1, keepdims=True)
-    col = g.mean(axis=0, keepdims=True)
-    total = g.mean()
-    out = g - row - col + total
-    out = 0.5 * (out + out.T)
+    row = gram.g.mean(axis=1)
+    out = np.add.outer(row, row)
+    np.subtract(gram.g, out, out=out)
+    out += row.mean()
     out.setflags(write=False)
     return GramMatrix(g=out, centered=True)
-
-
-def _descending_eigvals(g: np.ndarray) -> np.ndarray:
-    vals = np.linalg.eigvalsh(g)[::-1]
-    top = max(float(vals[0]), 0.0)
-    vals[vals < _EIG_CLAMP * top] = 0.0
-    return vals
 
 
 def exact_tail_energy(gram: GramMatrix, k: int) -> float:
@@ -125,11 +119,12 @@ def exact_tail_energy(gram: GramMatrix, k: int) -> float:
     """
     if not gram.centered:
         raise ValueError("tail energy is defined for a centered gram matrix")
-    n = gram.n
+    n = gram.g.shape[0]
     k = integer("k", k, minimum=0)
     if k >= n:
         raise ValueError(f"k must be an integer in [0, n), got k={k} with n={n}")
-    vals = _descending_eigvals(gram.g)
+    vals = np.linalg.eigvalsh(gram.g)[::-1]
+    vals[vals < _EIG_CLAMP * max(float(vals[0]), 0.0)] = 0.0
     return float(np.sum(vals[k:]))
 
 

@@ -38,20 +38,23 @@ class DimensionPlan:
 
 
 def _per_pair_raw(epsilon: float, delta: float, constant: float) -> float:
-    return constant * epsilon ** -2 * math.log(2.0 / delta)
+    # 2 / delta overflows a float for delta below about 1.1e-308
+    return constant * epsilon ** -2 * (math.log(2.0) - math.log(delta))
 
 
 def _finite_points_raw(epsilon: float, n: int, constant: float) -> float:
-    return constant * epsilon ** -2 * math.log(float(n) * (n - 1))
+    # math.log takes ints of any size, where n * (n - 1) as a float overflows
+    return constant * epsilon ** -2 * (math.log(n) + math.log(n - 1))
 
 
 def _bounded_diameter_raw(
     epsilon: float, delta: float, dim: int, diameter: float, constant: float
 ) -> float:
-    # M below 1 is clamped via max(M, e); the whole log argument is floored
-    # at e so the count stays positive for any admissible input.
-    arg = (dim / epsilon) * (max(diameter, _E) / delta)
-    return constant * dim * epsilon ** -2 * math.log(max(arg, _E))
+    # M below 1 is clamped via max(M, e).  The log of the product is a sum
+    # of logs, since the product can overflow a float, floored at 1 so the
+    # count stays positive for any admissible input.
+    log_arg = math.log(dim / epsilon) + math.log(max(diameter, _E)) - math.log(delta)
+    return constant * dim * epsilon ** -2 * max(log_arg, 1.0)
 
 
 def _raw_count(formula, epsilon: float, *args) -> float:

@@ -3,8 +3,7 @@
 reference() is the writer's per-row loop before the kernel: one '%.17g' per
 value, ',' between values and '\\n' after each row.  csv_text must give the
 same text for every float64, whether it takes the fixed-notation path
-(1e-4 <= |x| < 1e16), the '%' placeholders beside it, or '%' on a whole
-chunk.
+(1e-4 <= |x| < 1e16) or the '%' placeholders beside it.
 """
 
 import math
@@ -64,9 +63,8 @@ class TestAgainstPercent:
     @given(st.lists(st.tuples(st.integers(0, 2**64 - 1), FIXED_BITS), min_size=1, max_size=24))
     @settings(max_examples=300, deadline=None)
     def test_any_bit_pattern_beside_fixed_values(self, pairs):
-        """Most random bit patterns fall outside the fixed range, and a chunk
-        made mostly of those goes through '%' whole; beside as many fixed
-        values, they take the placeholders of the joined text."""
+        """Most random bit patterns fall outside the fixed range; beside as
+        many fixed values, they take the placeholders of the joined text."""
         values = [as_float(p) for pair in pairs for p in pair] + [1.0]
         assert_same_text(values + [1.0] * (-len(values) % 3), 3)
 

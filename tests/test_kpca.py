@@ -57,6 +57,22 @@ def offset_cloud():
     return x
 
 
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees while fn(*args) runs, its result
+    included; what was allocated before the call is not counted."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the kpca benchmark's point-set shape, and one whose gemm of x and a copy of
+# x.T is not symmetric
+ASYMMETRIC_GEMM_SHAPES = [(250, 256), (777, 33)]
+
+
 def gram_error_vs_mpmath(g: np.ndarray, x: np.ndarray, sigma: float) -> float:
     """Largest absolute gap between g and a 50-digit Gaussian kernel of x."""
     pts = [[mp.mpf(float(v)) for v in row] for row in x]
@@ -87,9 +103,30 @@ class TestGramExact:
         """Bit for bit, with no symmetrising pass: x @ x.T computes one
         triangle and mirrors it.  At 250 x 256 (the kpca benchmark's shape)
         and 777 x 33 a plain gemm of x and a copy of x.T is not symmetric."""
-        for n, dim in [(30, 5), (250, 256), (777, 33)]:
+        for n, dim in [(30, 5), *ASYMMETRIC_GEMM_SHAPES]:
             g = gram_exact(small_points(n, dim), Bandwidth(2.0)).g
             assert np.array_equal(g, g.T), (n, dim)
+
+    @pytest.mark.parametrize("n, dim", [(30, 5), *ASYMMETRIC_GEMM_SHAPES])
+    def test_bits_of_the_out_of_place_expression(self, n, dim):
+        """Working in one array changes no bit: the same operations in the
+        same order as the expression that allocates a new array per step."""
+        pts, sigma = small_points(n, dim, seed=n), Bandwidth(1.5 * math.sqrt(dim))
+        x = pts.data - pts.data.mean(axis=0)
+        norms = np.einsum("ij,ij->i", x, x)
+        sq = np.maximum(norms[:, None] + norms[None, :] - 2.0 * (x @ x.T), 0.0)
+        want = np.exp(sq * (-0.5 / sigma.sigma**2))
+        np.fill_diagonal(want, 1.0)
+        assert np.array_equal(gram_exact(pts, sigma).g, want)
+
+    def test_peak_memory_is_two_grams(self):
+        """The Gram itself and one n x n temporary, the outer sum of the
+        norms, plus the shifted points: not the three n x n arrays of the
+        out-of-place expression."""
+        n, dim = 1000, 64
+        pts, sigma = small_points(n, dim), Bandwidth(12.0)
+        gram_exact(small_points(4, dim), sigma)  # lazy imports stay outside the peak
+        assert traced_peak(gram_exact, pts, sigma) <= 2.25 * 8 * n * n
 
     def test_positive_semidefinite(self):
         g = gram_exact(small_points(60, 4, seed=3), Bandwidth(1.0)).g
@@ -123,7 +160,6 @@ class TestGramExact:
     def test_marked_uncentered_and_readonly(self):
         gram = gram_exact(small_points(), Bandwidth(1.0))
         assert not gram.centered
-        assert gram.n == 5
         with pytest.raises(ValueError):
             gram.g[0, 0] = 2.0
 
@@ -138,6 +174,21 @@ class TestCenterGram:
         pts = PointSet(np.ones((6, 2)))
         c = center_gram(gram_exact(pts, Bandwidth(1.0)))
         assert float(np.abs(c.g).max()) <= 1e-14
+
+    @pytest.mark.parametrize("n, dim", ASYMMETRIC_GEMM_SHAPES)
+    def test_exactly_symmetric(self, n, dim):
+        """Bit for bit: centring subtracts r_i + r_j, the same double as
+        r_j + r_i, from an exactly symmetric input."""
+        c = center_gram(gram_exact(small_points(n, dim), Bandwidth(1.5 * math.sqrt(dim)))).g
+        assert np.array_equal(c, c.T)
+
+    def test_peak_memory_is_one_gram_beyond_its_input(self):
+        """The centred matrix is the only n x n array made: no second mean,
+        no transpose sum."""
+        n = 1000
+        gram = gram_exact(small_points(n, 8), Bandwidth(3.0))
+        center_gram(gram_exact(small_points(4, 8), Bandwidth(3.0)))  # warm-up
+        assert traced_peak(center_gram, gram) <= 1.1 * 8 * n * n
 
     def test_double_centering_refused(self):
         c = center_gram(gram_exact(small_points(), Bandwidth(1.0)))

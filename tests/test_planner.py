@@ -312,6 +312,31 @@ class TestDispatch:
         assert rc == 2
         assert err.startswith(f"rffkd: error: epsilon = {epsilon!r} with constant = {constant}")
 
+    @pytest.mark.parametrize(
+        "regime, flags",
+        [
+            ("per-pair", {"delta": 1e-310}),
+            ("finite-points", {"n": 10**200}),
+            ("bounded-diameter", {"delta": 0.2, "dim": 3, "diameter": 1e308}),
+            ("bounded-diameter", {"delta": 1e-300, "dim": 3, "diameter": 1e10}),
+        ],
+    )
+    def test_count_whose_log_argument_overflows_is_planned(self, capsys, regime, flags):
+        """2/delta, n(n-1) or (dim/eps)(M/delta) past the float range still
+        has a modest log: the plan is mpmath's, not a refusal."""
+        eps = mp.mpf(0.3)
+        if regime == "per-pair":
+            oracle = 8 / eps**2 * mp.log(2 / mp.mpf(flags["delta"]))
+        elif regime == "finite-points":
+            n = mp.mpf(flags["n"])
+            oracle = 8 / eps**2 * mp.log(n * (n - 1))
+        else:
+            dim, m, delta = flags["dim"], mp.mpf(flags["diameter"]), mp.mpf(flags["delta"])
+            oracle = 8 * dim / eps**2 * mp.log(dim / eps * max(m, mp.e) / delta)
+        rc, row, err = dims(capsys, regime, 0.3, **flags)
+        assert (rc, err) == (0, "")
+        assert row["pair_count"] == str(int(mp.ceil(oracle)))
+
     def test_unknown_regime_rejected(self, capsys):
         with pytest.raises(SystemExit) as info:
             dims(capsys, "global", 0.3, delta=0.2)
