@@ -11,14 +11,15 @@ The map enters every pairwise quantity only through the projections of its
 frequency rows on the pair's direction, which are i.i.d. standard normals
 (see features.projected_frequencies).  The sampling-based checks therefore
 draw those scalar projections directly; checks taking a FeatureMap exercise
-the full object.
+the full object.  Checks that average `samples` draws stream them in chunks
+of at most _LEAF values, so their memory does not grow with `samples`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,9 +42,8 @@ __all__ = [
     "run_battery",
 ]
 
-# Samples per phase chunk of check_shift_unbiasedness: its phases are drawn
-# into one buffer of this size, so the check holds one array of samples.
-_CHUNK = 1 << 16
+# Most values a streamed check draws at once (see _mean_std).
+_LEAF = 1 << 16
 
 # Failure-rate allowance for the scale-sweep check: the guarantee holds with
 # probability 1 - O(delta); the constant behind the O is fixed here.
@@ -79,28 +79,37 @@ def _violation_rate(name: str, violated: np.ndarray, delta: float) -> VerifyRepo
     return _one_sided(name, trials, float(np.mean(violated)), delta, std_err)
 
 
-def _two_sided(name: str, samples: int, statistic: float, target: float, std_err: float) -> VerifyReport:
-    return VerifyReport(
-        check_name=name,
-        samples=samples,
-        statistic=float(statistic),
-        bound=float(target),
-        std_err=float(std_err),
-        passed=bool(abs(statistic - target) <= 3.0 * std_err),
-    )
+def _mean_std(draw: Callable[[int], np.ndarray], samples: int) -> tuple[float, float]:
+    """Mean and std(ddof=1) of samples values drawn by draw(n), n at a time.
 
-
-def _mean_std_in_place(vals: np.ndarray) -> tuple[float, float]:
-    """(vals.mean(), vals.std(ddof=1)) without std's temporary; overwrites vals.
-
-    The same numpy operations as numpy's own mean and var (pairwise sum,
-    subtract the mean, square, pairwise sum, divide by n - 1), so both values
-    are bit-identical to theirs.
+    samples is split as numpy's pairwise sum splits an array, into parts of
+    at most _LEAF values that are drawn (and overwritten) one by one; their
+    sums are added along the same tree, so the mean is bit-identical to one
+    array's.  Squared deviations merge as in Chan, Golub and LeVeque (1983).
     """
-    m = vals.mean()
-    vals -= m
-    vals *= vals
-    return float(m), float(np.sqrt(np.add.reduce(vals) / (vals.size - 1)))
+
+    def part(n: int) -> tuple[float, float]:  # (sum, sum of squared deviations)
+        if n <= _LEAF:
+            x = draw(n)
+            total = np.add.reduce(x)
+            x -= total / n
+            x *= x
+            return total, np.add.reduce(x)
+        h = n // 2 - (n // 2) % 8
+        (sum_a, m2_a), (sum_b, m2_b) = part(h), part(n - h)
+        gap = sum_b / (n - h) - sum_a / h
+        return sum_a + sum_b, m2_a + m2_b + gap * gap * (h * (n - h) / n)
+
+    total, m2 = part(samples)
+    return float(total / samples), float(np.sqrt(m2 / (samples - 1)))
+
+
+def _kernel_mean(name: str, r: float, samples: int, draw: Callable[[int], np.ndarray]) -> VerifyReport:
+    """Two-sided report of the mean of samples draws around the kernel at r."""
+    mean, std = _mean_std(draw, samples)
+    target, std_err = float(kernel_from_scaled_norm(r)), std / math.sqrt(samples)
+    passed = bool(abs(mean - target) <= 3.0 * std_err)
+    return VerifyReport(f"{name}[r={r:g}]", samples, mean, target, std_err, passed)
 
 
 def check_unbiasedness(delta_norm: float, samples: int, seed: int) -> VerifyReport:
@@ -111,18 +120,14 @@ def check_unbiasedness(delta_norm: float, samples: int, seed: int) -> VerifyRepo
     """
     r = real("delta_norm", delta_norm, 0.0, lo_open=False)
     samples = integer("samples", samples, minimum=2)
-    # cos(w r) in place: one array of samples
-    vals = _generator(seed).standard_normal(samples)
-    vals *= r
-    np.cos(vals, out=vals)
-    mean, std = _mean_std_in_place(vals)
-    return _two_sided(
-        f"inner_product_unbiased[r={r:g}]",
-        samples,
-        mean,
-        kernel_from_scaled_norm(r),
-        std / math.sqrt(samples),
-    )
+    gen = _generator(seed)
+
+    def draw(n: int) -> np.ndarray:  # cos(w r), in place
+        x = gen.standard_normal(n)
+        x *= r
+        return np.cos(x, out=x)
+
+    return _kernel_mean("inner_product_unbiased", r, samples, draw)
 
 
 def check_shift_unbiasedness(delta_norm: float, samples: int, seed: int) -> VerifyReport:
@@ -134,16 +139,12 @@ def check_shift_unbiasedness(delta_norm: float, samples: int, seed: int) -> Veri
     """
     r = real("delta_norm", delta_norm, 0.0, lo_open=False)
     samples = integer("samples", samples, minimum=2)
-    gen = _generator(seed)
-    vals = gen.standard_normal(samples)
-    # g = 2 pi (1 - u) and 2 cos(w r + g) cos(g), all in place: one array of
-    # samples.  The phases come a chunk at a time, in the order that one call
-    # would draw them, into one reused buffer.
-    chunk = np.empty(min(samples, _CHUNK))
-    for start in range(0, samples, _CHUNK):
-        v = vals[start : start + _CHUNK]
-        g = chunk[: v.size]
-        gen.random(out=g)
+    # phases is a stream of its own, so sample i is the same however it is chunked
+    gen, phases = _generator(seed), _generator(derive_seed(seed, 1))
+
+    def draw(n: int) -> np.ndarray:  # g = 2 pi (1 - u) and 2 cos(w r + g) cos(g), in place
+        v = gen.standard_normal(n)
+        g = phases.random(n)
         np.subtract(1.0, g, out=g)
         g *= 2.0 * math.pi
         v *= r
@@ -151,14 +152,9 @@ def check_shift_unbiasedness(delta_norm: float, samples: int, seed: int) -> Veri
         np.cos(v, out=v)
         v *= 2.0
         v *= np.cos(g, out=g)
-    mean, std = _mean_std_in_place(vals)
-    return _two_sided(
-        f"shifted_inner_product_unbiased[r={r:g}]",
-        samples,
-        mean,
-        kernel_from_scaled_norm(r),
-        std / math.sqrt(samples),
-    )
+        return v
+
+    return _kernel_mean("shifted_inner_product_unbiased", r, samples, draw)
 
 
 def check_chi_square(epsilon: float, delta: float, trials: int, seed: int) -> VerifyReport:
@@ -171,7 +167,8 @@ def check_chi_square(epsilon: float, delta: float, trials: int, seed: int) -> Ve
     trials = integer("trials", trials)
     t = plan_per_pair(epsilon, delta).pair_count
     w = _generator(seed).standard_normal((trials, t))
-    mean_sq = np.mean(w * w, axis=1)
+    w *= w
+    mean_sq = np.mean(w, axis=1)
     return _violation_rate(
         f"mean_sq_projection_concentration[eps={epsilon:g};delta={delta:g};t={t}]",
         (mean_sq < 1.0 - epsilon) | (mean_sq > 1.0 + epsilon),
@@ -227,14 +224,17 @@ def check_mgf_bound(delta_norm: float, s: float, samples: int, seed: int) -> Ver
     samples = integer("samples", samples, minimum=2)
     window = math.inf if r == 0.0 else 1.0 / (2.0 * r * r)
     s = real("s", s, 0.0, window, lo_open=False)
-    # exp(s (K - cos(w r))) in place: one array of samples
-    x = _generator(seed).standard_normal(samples)
-    x *= r
-    np.cos(x, out=x)
-    np.subtract(kernel_from_scaled_norm(r), x, out=x)
-    x *= s
-    np.exp(x, out=x)
-    mean, std = _mean_std_in_place(x)
+    gen = _generator(seed)
+
+    def draw(n: int) -> np.ndarray:  # exp(s (K - cos(w r))), in place
+        x = gen.standard_normal(n)
+        x *= r
+        np.cos(x, out=x)
+        np.subtract(kernel_from_scaled_norm(r), x, out=x)
+        x *= s
+        return np.exp(x, out=x)
+
+    mean, std = _mean_std(draw, samples)
     statistic = math.log(mean)
     std_err = std / (mean * math.sqrt(samples))
     bound = 0.25 * s * s * r**4

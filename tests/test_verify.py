@@ -55,12 +55,28 @@ def serial_battery(seed, samples):
     ]
 
 
+def chunks_of(x):
+    """A draw function that hands out copies of x's values in order."""
+    start = 0
+
+    def draw(n):
+        nonlocal start
+        start += n
+        return x[start - n : start].copy()
+
+    return draw
+
+
 class TestMeanStdInPlace:
-    """The in-place helper against numpy's mean and std(ddof=1), bit for bit,
-    at sizes around the edges of numpy's pairwise-sum blocks."""
+    """The streamed helper, which overwrites each drawn chunk in place, against
+    numpy's mean and std(ddof=1) of one array: the mean bit for bit and the
+    std to 1e-14, at sizes around the edges of numpy's pairwise-sum blocks and
+    of the helper's own parts."""
 
     @pytest.mark.parametrize(
-        "n", [2, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 65537, 1_000_003]
+        "n",
+        [2, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 65535, 65536, 65537, 131073,
+         1_000_003, 3_000_000],
     )
     @pytest.mark.parametrize("shape", ["normal", "cos", "exp"])
     def test_bit_identical(self, n, shape):
@@ -69,40 +85,51 @@ class TestMeanStdInPlace:
             x = np.cos(0.7 * x)
         elif shape == "exp":
             x = np.exp(0.4 * (0.3 - x))
-        want = (x.mean(), x.std(ddof=1))
-        got = verify._mean_std_in_place(x.copy())
-        assert got[0] == want[0] and got[1] == want[1]
+        mean, std = verify._mean_std(chunks_of(x), n)
+        assert mean == np.mean(x)
+        assert std == pytest.approx(np.std(x, ddof=1), rel=1e-14, abs=0)
 
     def test_constant_has_zero_spread(self):
-        assert verify._mean_std_in_place(np.full(5, 0.25)) == (0.25, 0.0)
+        for n in (5, 3 * verify._LEAF + 7):
+            assert verify._mean_std(chunks_of(np.full(n, 0.25)), n) == (0.25, 0.0)
 
-    @pytest.mark.parametrize("samples", [2, 129, 8193, 100_003])
+    @pytest.mark.parametrize("samples", [2, 129, 8193, 100_003, 3 * verify._LEAF + 5])
     @pytest.mark.parametrize("seed", [0, 105])
     def test_checks_equal_out_of_place_reference(self, seed, samples):
-        """The in-place check bodies report exactly what the same formulas
-        give out of place, with numpy's own mean and std."""
+        """The streamed check bodies report the mean that the same formulas
+        give out of place on one array, and its standard error to 1e-14."""
         vals = np.cos(generator(seed).standard_normal(samples) * 1.0)
         rep = check_unbiasedness(1.0, samples, seed)
-        assert (rep.statistic, rep.std_err) == (
-            float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
-        )
-
-        gen = generator(seed)
-        w = gen.standard_normal(samples)
-        g = 2.0 * math.pi * (1.0 - gen.random(samples))
-        vals = 2.0 * np.cos(w * 0.5 + g) * np.cos(g)
-        rep = check_shift_unbiasedness(0.5, samples, seed)
-        assert (rep.statistic, rep.std_err) == (
-            float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
-        )
+        assert rep.statistic == float(vals.mean())
+        assert rep.std_err == pytest.approx(vals.std(ddof=1) / math.sqrt(samples), rel=1e-14)
 
         w = generator(seed).standard_normal(samples)
         x = np.exp(0.4 * (kernel_from_scaled_norm(1.0) - np.cos(w * 1.0)))
         mean = float(x.mean())
         rep = check_mgf_bound(1.0, 0.4, samples, seed)
-        assert (rep.statistic, rep.std_err) == (
-            math.log(mean), float(x.std(ddof=1) / (mean * math.sqrt(samples)))
+        assert rep.statistic == math.log(mean)
+        assert rep.std_err == pytest.approx(
+            x.std(ddof=1) / (mean * math.sqrt(samples)), rel=1e-14
         )
+
+    @pytest.mark.parametrize("samples", [1_000_000, 4_000_000])
+    @pytest.mark.parametrize(
+        "check, args",
+        [(check_unbiasedness, (1.0,)), (check_shift_unbiasedness, (1.0,)),
+         (check_mgf_bound, (1.0, 0.4))],
+        ids=["unbiasedness", "shift", "mgf"],
+    )
+    def test_memory_does_not_grow_with_samples(self, check, args, samples):
+        """A streamed check holds at most two chunks (the shift check's normals
+        and phases) whatever samples is."""
+        check(*args, 2_000, 0)  # lazy imports stay outside the traced peak
+        tracemalloc.start()
+        try:
+            check(*args, samples, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * verify._LEAF + 2**16
 
 
 class TestUnbiasedness:
@@ -141,45 +168,22 @@ class TestShiftUnbiasedness:
         rep = check_shift_unbiasedness(0.5, 1000, seed=0)
         assert rep.check_name.startswith("shifted_inner_product_unbiased")
 
-    @staticmethod
-    def two_array_body(r, samples, seed):
-        """The check's mean and std with every phase drawn at once into a
-        second array of samples, the same operations in the same order."""
-        gen = generator(seed)
-        vals = gen.standard_normal(samples)
-        g = gen.random(samples)
-        np.subtract(1.0, g, out=g)
-        g *= 2.0 * math.pi
-        vals *= r
-        vals += g
-        np.cos(vals, out=vals)
-        vals *= 2.0
-        vals *= np.cos(g, out=g)
-        return verify._mean_std_in_place(vals)
-
     @pytest.mark.parametrize("r", [0.0, 1.0, 3.0])
     @pytest.mark.parametrize(
         "samples",
-        [2, verify._CHUNK - 1, verify._CHUNK, verify._CHUNK + 1, 2 * verify._CHUNK + 3],
+        [2, verify._LEAF - 1, verify._LEAF, verify._LEAF + 1, 2 * verify._LEAF + 3],
     )
     def test_chunked_phases_equal_two_array_body(self, samples, r):
-        """Phases drawn a chunk at a time give the report bits of drawing them
-        all at once, around the chunk edges."""
-        mean, std = self.two_array_body(r, samples, seed=7)
+        """Normals from the seed's stream and phases from a stream of their
+        own, drawn a chunk at a time, report what two arrays of every sample
+        give (the mean bit for bit, its standard error to 1e-14), around the
+        chunk edges."""
+        w = generator(7).standard_normal(samples)
+        g = 2.0 * math.pi * (1.0 - generator(derive_seed(7, 1)).random(samples))
+        vals = 2.0 * np.cos(w * r + g) * np.cos(g)
         rep = check_shift_unbiasedness(r, samples, 7)
-        assert (rep.statistic, rep.std_err) == (mean, std / math.sqrt(samples))
-
-    def test_memory_one_array_plus_chunk(self):
-        """The check holds its array of samples and one phase chunk."""
-        samples = 1_000_000
-        check_shift_unbiasedness(1.0, 2_000, 0)  # lazy imports stay outside the traced peak
-        tracemalloc.start()
-        try:
-            check_shift_unbiasedness(1.0, samples, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * samples + 8 * verify._CHUNK + 2**16
+        assert rep.statistic == float(vals.mean())
+        assert rep.std_err == pytest.approx(vals.std(ddof=1) / math.sqrt(samples), rel=1e-14)
 
 
 class TestChiSquare:
@@ -391,9 +395,8 @@ class TestBattery:
 
     def test_pool_does_not_grow_with_cpus(self, monkeypatch, report_cpus):
         """With 64 CPUs reported, one pool of two threads, and peak traced
-        memory within two arrays of samples plus 1 MB: at most two
-        array-holding checks run at once, one array each (the CosShift
-        check's phases take one chunk, not a second array)."""
+        memory within 12 MiB whatever samples is: the streamed checks hold a
+        chunk or two each, and the largest others one trials x t array."""
         made = []
 
         class RecordedPool(concurrent.futures.ThreadPoolExecutor):
@@ -401,18 +404,18 @@ class TestBattery:
                 super().__init__(max_workers=max_workers)
                 made.append(max_workers)
 
-        samples = 1_000_000
         run_battery(0, samples=2_000)  # lazy imports stay outside the traced peak
         report_cpus(64)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordedPool)
-        tracemalloc.start()
-        try:
-            run_battery(0, samples=samples)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert made == [2]
-        assert peak <= 2 * 8 * samples + 2**20
+        for samples in (1_000_000, 4_000_000):
+            tracemalloc.start()
+            try:
+                run_battery(0, samples=samples)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 12 * 2**20, samples
+        assert made == [2, 2]
 
     def test_pass_rule_consistency(self):
         """Every report's flag is reproducible from its own fields."""
