@@ -159,15 +159,17 @@ def gen_grid_stress(dim: int, diameter: float, sigma: Bandwidth, epsilon: float)
         raise ValueError(f"diameter {diameter!r} / grid step {step!r} overflows")
     kmax = int(math.floor(steps))
     side = 2 * kmax + 1
-    count = side**dim
-    if count * dim > GRID_SIZE_LIMIT:
+    # side**dim is formed only where it is short.  A longer one has a side of
+    # at least 3, so side >= 2^(side.bit_length() / 2) and side**dim > 2^32.
+    count = side**dim if side == 1 or dim * side.bit_length() <= 64 else None
+    if count is None or count * dim > GRID_SIZE_LIMIT:
         raise ValueError(
-            f"grid would hold {count} points in dim {dim} "
-            f"({count * dim} > {GRID_SIZE_LIMIT}); shrink diameter or raise epsilon"
+            f"grid {side}^{dim} would hold {count or 'over 2^32'} points in dim {dim}, over the "
+            f"cap dim * count <= {GRID_SIZE_LIMIT}; shrink diameter or raise epsilon"
         )
-    axis = step * np.arange(-kmax, kmax + 1, dtype=np.float64)
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    return PointSet(np.stack([m.ravel() for m in mesh], axis=1))
+    # coordinate j of point i is digit j of i in base side, most significant first
+    digits = np.arange(count)[:, np.newaxis] // side ** np.arange(dim - 1, -1, -1) % side
+    return PointSet(step * (digits - kmax).astype(np.float64))
 
 
 def synth_dataset(n: int, dim: int, clusters: int, seed: int) -> PointSet:

@@ -88,10 +88,9 @@ class FeatureMap:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Embedded points: n x output_dim feature matrix plus the map spec."""
+    """Embedded points: the n x output_dim feature matrix."""
 
     features: np.ndarray
-    spec: FeatureMapSpec
 
 
 def sample_map(spec: FeatureMapSpec, dim: int) -> FeatureMap:
@@ -149,9 +148,10 @@ def _row_blocks(n: int, output_dim: int):
         start = stop
 
 
-def _trig_rows(proj: np.ndarray, fmap: FeatureMap, out: np.ndarray) -> np.ndarray:
-    """Features of some rows, from their projection, written into out."""
+def _block(rows: np.ndarray, fmap: FeatureMap, out: np.ndarray) -> np.ndarray:
+    """Features of some rows, projection matmul and cos/sin, written into out."""
     spec = fmap.spec
+    proj = rows @ fmap.frequencies.T
     if spec.variant is Variant.COS_SIN:
         np.cos(proj, out=out[:, 0::2])
         np.sin(proj, out=out[:, 1::2])
@@ -178,11 +178,6 @@ def _check_points(points: PointSet, fmap: FeatureMap) -> None:
             f"points of magnitude up to {x_max!r} can overflow the projection at sigma "
             f"{fmap.spec.sigma.sigma!r}: dim * max|x| * max|omega| = {bound!r} is not below 2^1023"
         )
-
-
-def _block(data: np.ndarray, fmap: FeatureMap, dest: np.ndarray) -> np.ndarray:
-    """Features of some rows, projection matmul and cos/sin, written into dest."""
-    return _trig_rows(data @ fmap.frequencies.T, fmap, dest)
 
 
 def _pipeline(points: PointSet, fmap: FeatureMap, out: np.ndarray | None = None):
@@ -217,7 +212,7 @@ def embed(points: PointSet, fmap: FeatureMap) -> Embedding:
     out = np.empty((points.n, fmap.spec.output_dim))
     for _ in _pipeline(points, fmap, out):
         pass
-    return Embedding(features=out, spec=fmap.spec)
+    return Embedding(features=out)
 
 
 def embed_blocks(points: PointSet, fmap: FeatureMap):

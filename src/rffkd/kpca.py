@@ -70,8 +70,20 @@ def gram_exact(points: PointSet, sigma: Bandwidth) -> GramMatrix:
     leaves distances unchanged but keeps the cancellation small: the error
     of an entry's exponent grows like eps * R^2 / sigma^2, where eps is the
     float64 machine epsilon and R the radius of the set about its mean.
+    Points whose squared distances could overflow are refused: 4 * dim *
+    max|x|^2 bounds every partial sum below, and it is formed from two
+    reductions as Python floats, so an overflow is inf (or NaN, where the
+    mean itself overflowed).
     """
-    x = points.data - points.data.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = points.data - points.data.mean(axis=0)
+    x_max = max(float(x.max()), -float(x.min()))
+    bound = 4.0 * points.dim * x_max * x_max
+    if not bound < 2.0**1023:
+        raise ValueError(
+            f"points of magnitude up to {x_max!r} about their mean can overflow the exact Gram: "
+            f"4 * dim * max|x|^2 = {bound!r} is not below 2^1023"
+        )
     norms = np.einsum("ij,ij->i", x, x)
     # numpy computes x @ x.T as one triangle and mirrors it, so g is exactly
     # symmetric; each later step works entry by entry in g itself

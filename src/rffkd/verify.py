@@ -73,9 +73,9 @@ def _one_sided(name: str, samples: int, statistic: float, bound: float, std_err:
 
 def _violation_rate(name: str, violated: np.ndarray, delta: float) -> VerifyReport:
     """One-sided report of the fraction of trials violated, against delta,
-    with the binomial standard error of a fraction whose rate is delta."""
+    with the binomial standard error of a fraction whose rate is delta (0 from 1 on)."""
     trials = violated.size
-    std_err = math.sqrt(delta * (1.0 - delta) / trials)
+    std_err = math.sqrt(max(delta * (1.0 - delta), 0.0) / trials)
     return _one_sided(name, trials, float(np.mean(violated)), delta, std_err)
 
 
@@ -195,8 +195,6 @@ def check_limit_ratio(diff: ScaledDiff, fmap: FeatureMap, lambdas: Sequence[floa
     lam = np.asarray(sorted(float(v) for v in lambdas), dtype=np.float64)
     if lam.size == 0 or not np.all((lam > 0.0) & (lam <= 1.0)):
         raise ValueError(f"lambdas must be one or more values in (0, 1], got {lam.tolist()}")
-    if diff.norm == 0.0:
-        raise ValueError("limit ratio is undefined for a zero difference")
     proj = projected_frequencies(fmap, diff)
     ratios = _ratio_curve(proj, diff.norm, lam)
     chi = float(np.mean(proj * proj))
@@ -251,29 +249,20 @@ def check_scale_sweep(epsilon: float, delta: float, seed: int) -> VerifyReport:
     SCALE_SWEEP_DELTA_CONSTANT = 3, so the reported bound is 3 delta.
     One-sided, over 100 trials of 25 factors log-spaced from 1e-6 to 1.
     """
-    real("epsilon", epsilon, 0.0, 1.0)
-    if real("delta", delta, 0.0, 1.0) >= 1.0 / math.e:
+    t = plan_per_pair(epsilon, delta).pair_count
+    if delta >= 1.0 / math.e:
         raise ValueError(f"delta must lie in (0, 1/e) so the threshold norm exists, got {delta}")
-    trials = 100
     lam = np.logspace(-6, 0, 25)
     r = math.sqrt(epsilon) / math.log(1.0 / delta)
-    t = plan_per_pair(epsilon, delta).pair_count
     gen = _generator(seed)
-    failures = 0
-    for _ in range(trials):
-        proj = gen.standard_normal(t)
-        ratios = _ratio_curve(proj, r, lam)
-        if float(np.max(np.abs(ratios - 1.0))) > epsilon:
-            failures += 1
-    statistic = failures / trials
-    bound = SCALE_SWEEP_DELTA_CONSTANT * delta
-    std_err = math.sqrt(bound * (1.0 - bound) / trials) if bound < 1.0 else 0.0
-    return _one_sided(
+    violated = np.empty(100, dtype=bool)
+    for trial in range(violated.size):
+        ratios = _ratio_curve(gen.standard_normal(t), r, lam)
+        violated[trial] = float(np.max(np.abs(ratios - 1.0))) > epsilon
+    return _violation_rate(
         f"ratio_stable_across_scales[eps={epsilon:g};delta={delta:g};r={r:g};t={t}]",
-        trials,
-        statistic,
-        bound,
-        std_err,
+        violated,
+        SCALE_SWEEP_DELTA_CONSTANT * delta,
     )
 
 
@@ -295,7 +284,7 @@ def check_tail_bound(
     d_sq = sq_distance_from_scaled_norm(r)
     t = math.ceil((6.0 / epsilon**2) * (r**4 / d_sq**2) * math.log(2.0 / delta))
     w = _generator(seed).standard_normal((trials, t))
-    d_hat_sq = sq_distance_from_projections(w, np.full(trials, r))
+    d_hat_sq = sq_distance_from_projections(w, r)
     return _violation_rate(
         f"relative_error_tail[r={r:g};eps={epsilon:g};delta={delta:g};t={t}]",
         np.abs(d_hat_sq / d_sq - 1.0) > epsilon,

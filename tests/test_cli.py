@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -329,6 +330,24 @@ class TestGen:
         pts = np.loadtxt(io.StringIO(out), delimiter=",", ndmin=2)
         assert pts.shape == (441, 2)
 
+    @pytest.mark.parametrize("dim", [33, 64, 65])
+    def test_one_point_grid_in_many_dims(self, capsys, dim):
+        """numpy's meshgrid takes at most 32 axes and an array at most 64; the
+        lattice needs neither."""
+        argv = ["gen", "--kind", "grid", "--dim", str(dim), "--diameter", "0.5"]
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, err) == (0, "")
+        assert out == ",".join(["0"] * dim) + "\n"
+
+    @pytest.mark.parametrize("dim", [10**5, 3 * 10**7, 10**23])
+    def test_grid_of_large_dim_refused_at_once(self, capsys, dim):
+        """The refusal forms no side**dim of that size, and names the grid."""
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, "gen", "--kind", "grid", "--dim", str(dim), "--diameter", "3")
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"rffkd: error: grid 3^{dim} would hold over 2^32 points in dim {dim},")
+
     def test_grid_requires_diameter(self, capsys):
         rc, out, err = run_cli(capsys, "gen", "--kind", "grid")
         assert (rc, out) == (2, "")
@@ -508,6 +527,23 @@ class TestOutOfRange:
         assert (rc, err) == (0, "")
         emb = np.loadtxt(io.StringIO(out), delimiter=",", ndmin=2)
         assert emb.shape == (2, 6) and np.all(np.isfinite(emb))
+
+    @pytest.mark.parametrize("scale, refused", [(1e150, False), (1e154, True), (1e155, True)])
+    def test_kpca_points_past_the_exact_gram(self, tmp_path, capsys, scale, refused):
+        """Points whose exact Gram could overflow exit 2 naming their
+        magnitude, and points just inside run; neither warns (the suite turns
+        warnings into errors)."""
+        path = tmp_path / "p.csv"
+        points = np.array([[1.0, 2.0], [3.0, -1.0], [-2.0, 0.5], [0.3, -4.0]]) * (scale / 4.0)
+        np.savetxt(path, points, fmt="%.17g", delimiter=",")
+        argv = ["kpca", "--input", str(path), "--k", "1", "--t-list", "4", "--trials", "1"]
+        rc, out, err = run_cli(capsys, *argv)
+        if refused:
+            assert (rc, out) == (2, "")
+            assert err.startswith("rffkd: error: points of magnitude up to 8.4375e+15")
+        else:
+            assert (rc, err) == (0, "")
+            assert len(parse_csv(out)[1]) == 1
 
     def test_smallest_sigma_kpca_runs_quietly(self, capsys):
         """The exact Gram's exponents overflow to -inf at sigma = 2^-511; the

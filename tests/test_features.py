@@ -447,21 +447,20 @@ def embed_path(request, take_pool):
 
 
 def block_ranks(points, fmap):
-    """Block index keyed by the first entry of the block's projection, which
-    the pipeline computes by the same product on the same rows."""
+    """Block index keyed by the bytes of the block's first input row."""
     blocks = rffkd.features._row_blocks(points.n, fmap.spec.output_dim)
-    return {(points.data[a:b] @ fmap.frequencies.T)[0, 0]: i for i, (a, b) in enumerate(blocks)}
+    return {points.data[a].tobytes(): i for i, (a, _) in enumerate(blocks)}
 
 
-def before_trig(monkeypatch, hook):
-    """Call hook(proj) before each block's cos/sin."""
-    trig = rffkd.features._trig_rows
+def before_block(monkeypatch, hook):
+    """Call hook(first input row's bytes) at the start of each block's job."""
+    block = rffkd.features._block
 
-    def hooked_trig(proj, fmap, out):
-        hook(proj)
-        return trig(proj, fmap, out)
+    def hooked_block(rows, fmap, out):
+        hook(rows[0].tobytes())
+        return block(rows, fmap, out)
 
-    monkeypatch.setattr(rffkd.features, "_trig_rows", hooked_trig)
+    monkeypatch.setattr(rffkd.features, "_block", hooked_block)
 
 
 class TestEmbedPipeline:
@@ -488,16 +487,14 @@ class TestEmbedPipeline:
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_early_blocks_finishing_last_keep_order_and_bits(self, monkeypatch, embed_path, variant):
-        """cos/sin of each block waits longer the earlier the block is, so later
+        """Each block's job waits longer the earlier the block is, so later
         blocks finish first.  Blocks still come out in order, each computed
-        from its own projection."""
+        from its own rows."""
         points, fmap = block_case(variant, 8 * BLOCK_ROWS)
         whole = whole_matrix_features(points, fmap).tobytes()
         use_small_blocks(monkeypatch, fmap.spec.output_dim)
         ranks = block_ranks(points, fmap)
-        before_trig(
-            monkeypatch, lambda proj: time.sleep(0.003 * (len(ranks) - ranks.get(proj[0, 0], 0)))
-        )
+        before_block(monkeypatch, lambda row: time.sleep(0.003 * (len(ranks) - ranks[row])))
         assert np.vstack(list(embed_blocks(points, fmap))).tobytes() == whole
         assert embed(points, fmap).features.tobytes() == whole
 
@@ -565,20 +562,20 @@ class TestEmbedPipeline:
 
 
 def fail_in_block_two(monkeypatch, points, fmap):
-    """Make cos/sin raise on the second block of points."""
+    """Make the job of the second block of points raise."""
     ranks = block_ranks(points, fmap)
 
-    def fail(proj):
-        if ranks[proj[0, 0]] == 1:
-            raise RuntimeError("cos/sin failed on block 2")
+    def fail(row):
+        if ranks[row] == 1:
+            raise RuntimeError("job failed on block 2")
 
-    before_trig(monkeypatch, fail)
+    before_block(monkeypatch, fail)
 
 
 def record_blas_threads(monkeypatch, get):
-    """The OpenBLAS thread count at each block's cos/sin, as a growing list."""
+    """The OpenBLAS thread count at each block's job, as a growing list."""
     seen = []
-    before_trig(monkeypatch, lambda proj: seen.append(get()))
+    before_block(monkeypatch, lambda row: seen.append(get()))
     return seen
 
 
@@ -626,13 +623,13 @@ class TestBlasPin:
         both_in, first_out = threading.Barrier(2, timeout=30), threading.Event()
         ranks = block_ranks(points, fmap)
 
-        def meet(proj):
-            if ranks[proj[0, 0]] == 0:
+        def meet(row):
+            if ranks[row] == 0:
                 both_in.wait()
                 if threading.current_thread().name == "second":
                     assert first_out.wait(timeout=30)
 
-        before_trig(monkeypatch, meet)
+        before_block(monkeypatch, meet)
         got = {}
 
         def run():
@@ -658,9 +655,9 @@ class TestBlasPin:
         try:
             points, fmap = block_case(Variant.COS_SHIFT, 4 * BLOCK_ROWS)
             use_small_blocks(monkeypatch, fmap.spec.output_dim)
-            trig = rffkd.features._trig_rows
+            block = rffkd.features._block
             want = np.vstack([
-                trig(points.data[a:b] @ fmap.frequencies.T, fmap, np.empty((b - a, 64)))
+                block(points.data[a:b], fmap, np.empty((b - a, 64)))
                 for a, b in rffkd.features._row_blocks(points.n, 64)
             ])
             seen = record_blas_threads(monkeypatch, blas_threads)

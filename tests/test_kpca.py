@@ -157,6 +157,21 @@ class TestGramExact:
         g = gram_exact(small_points(20, 2), Bandwidth(2.0**-511)).g
         np.testing.assert_array_equal(g, np.eye(20))
 
+    @pytest.mark.parametrize(
+        "rows, magnitude",
+        [
+            ([[1e154, 0.0], [-1e154, 0.0]], "1e+154"),
+            ([[1.7e308], [-1.7e308]], "1.7e+308"),
+            ([[1.7e308], [1.7e308]], "inf"),  # the mean itself overflows
+        ],
+    )
+    def test_refused_where_squared_distances_can_overflow(self, rows, magnitude):
+        """4 * dim * max|x|^2 about the mean at 2^1023 or past it is refused
+        before any product, with no warning (the suite turns warnings into
+        errors); the message names the magnitude."""
+        with pytest.raises(ValueError, match=rf"^points of magnitude up to {re.escape(magnitude)} "):
+            gram_exact(PointSet(np.array(rows)), Bandwidth(1.0))
+
     def test_marked_uncentered_and_readonly(self):
         gram = gram_exact(small_points(), Bandwidth(1.0))
         assert not gram.centered

@@ -308,6 +308,14 @@ class TestScaleSweep:
         r = math.sqrt(0.2) / math.log(10.0)
         assert f"r={r:g}" in rep.check_name
 
+    def test_bound_of_one_or_more_has_no_spread(self):
+        """From delta = 1/3 on, the bound 3 delta is at least 1, which no
+        fraction exceeds: std_err is 0 and the check passes."""
+        rep = check_scale_sweep(0.2, 0.35, 0)
+        assert rep.bound == pytest.approx(1.05, rel=1e-15)
+        assert rep.std_err == 0.0
+        assert rep.passed
+
     def test_validation(self):
         with pytest.raises(ValueError, match="1/e"):
             check_scale_sweep(0.2, 0.5, seed=0)
