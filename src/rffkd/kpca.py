@@ -36,14 +36,6 @@ _EIG_CLAMP = 1e-10
 
 
 @dataclass(frozen=True)
-class GramMatrix:
-    """Symmetric kernel matrix; centered tracks whether it was double-centered."""
-
-    g: np.ndarray
-    centered: bool
-
-
-@dataclass(frozen=True)
 class PcaReport:
     """Tail energies for one (t, k) setting aggregated over map draws.
 
@@ -62,7 +54,7 @@ class PcaReport:
     trials: int
 
 
-def gram_exact(points: PointSet, sigma: Bandwidth) -> GramMatrix:
+def gram_exact(points: PointSet, sigma: Bandwidth) -> np.ndarray:
     """Exact Gaussian Gram matrix of a point set; symmetric, unit diagonal.
 
     Squared distances come from one matmul, |x_i|^2 + |x_j|^2 - 2 x_i.x_j,
@@ -98,49 +90,43 @@ def gram_exact(points: PointSet, sigma: Bandwidth) -> GramMatrix:
         np.exp(g, out=g)
     np.fill_diagonal(g, 1.0)
     g.setflags(write=False)
-    return GramMatrix(g=g, centered=False)
+    return g
 
 
-def center_gram(gram: GramMatrix) -> GramMatrix:
+def center_gram(g: np.ndarray) -> np.ndarray:
     """Double-center a symmetric Gram matrix: G_ij - r_i - r_j + mean(r),
     where r holds the row means.
 
     Equivalent to replacing each feature-space image by its offset from the
     feature-space mean.  The input must be symmetric, as gram_exact's is, so
     that its column means are its row means; r_i + r_j is then the same
-    double as r_j + r_i, and the output is exactly symmetric.  Centering an
-    already centered matrix is refused (it would silently be a no-op up to
-    float noise).
+    double as r_j + r_i, and the output, read-only, is exactly symmetric.
     """
-    if gram.centered:
-        raise ValueError("gram matrix is already centered")
-    row = gram.g.mean(axis=1)
+    row = g.mean(axis=1)
     out = np.add.outer(row, row)
-    np.subtract(gram.g, out, out=out)
+    np.subtract(g, out, out=out)
     out += row.mean()
     out.setflags(write=False)
-    return GramMatrix(g=out, centered=True)
+    return out
 
 
-def exact_tail_energy(gram: GramMatrix, k: int) -> float:
+def exact_tail_energy(centered: np.ndarray, k: int) -> float:
     """Sum of centered-Gram eigenvalues after the top k (descending order).
 
     k = 0 returns the full trace.  Eigenvalues below 1e-10 of the largest
     are clamped to zero, so the tiny negatives eigensolvers produce for
     rank-deficient centered matrices cannot pollute the tail.
     """
-    if not gram.centered:
-        raise ValueError("tail energy is defined for a centered gram matrix")
-    n = gram.g.shape[0]
+    n = centered.shape[0]
     k = integer("k", k, minimum=0)
     if k >= n:
         raise ValueError(f"k must be an integer in [0, n), got k={k} with n={n}")
-    vals = np.linalg.eigvalsh(gram.g)[::-1]
+    vals = np.linalg.eigvalsh(centered)[::-1]
     vals[vals < _EIG_CLAMP * max(float(vals[0]), 0.0)] = 0.0
     return float(np.sum(vals[k:]))
 
 
-def exact_feature_embedding(gram: GramMatrix) -> np.ndarray:
+def exact_feature_embedding(centered: np.ndarray) -> np.ndarray:
     """Feature coordinates that reproduce a centered Gram matrix exactly.
 
     Returns Q (n x n) with columns ordered by descending eigenvalue such that
@@ -149,9 +135,7 @@ def exact_feature_embedding(gram: GramMatrix) -> np.ndarray:
     Q already have zero mean, so Q can be fed straight to
     residual_from_centered for a map-free reference pipeline.
     """
-    if not gram.centered:
-        raise ValueError("exact feature embedding requires a centered gram matrix")
-    vals, vecs = np.linalg.eigh(gram.g)
+    vals, vecs = np.linalg.eigh(centered)
     order = np.argsort(-vals, kind="stable")
     vals = np.clip(vals[order], 0.0, None)
     return vecs[:, order] * np.sqrt(vals)

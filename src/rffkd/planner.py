@@ -59,15 +59,16 @@ def _bounded_diameter_raw(
 
 def _raw_count(formula, epsilon: float, *args) -> float:
     """formula(epsilon, *args), whose last argument is the constant, refused
-    where eps^-2 overflows or the count is not finite."""
+    where eps^-2 overflows or the count passes 2^53: above it a float count
+    is not exact, so the printed digits would be rounding."""
     try:
         raw = formula(epsilon, *args)
     except OverflowError:
         raw = math.inf
-    if not math.isfinite(raw):
+    if not raw <= 2.0**53:
         raise ValueError(
-            f"epsilon = {epsilon!r} with constant = {args[-1]!r} asks for more feature"
-            " pairs than a float can count"
+            f"epsilon = {epsilon!r} with constant = {args[-1]!r} asks for {raw:.6g} feature"
+            " pairs, more than 2^53, past which a float count is not exact"
         )
     return raw
 

@@ -3,9 +3,11 @@ against high-precision mpmath eigen/SVD oracles, the exact-feature reference
 pipeline, and the map-versus-exact experiment loop.
 """
 
+import importlib
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from mpmath import mp
 
 import rffkd.features
 import rffkd.kpca
+import rffkd.matrixio
 from rffkd import (
     Bandwidth,
     FeatureMapSpec,
@@ -25,7 +28,6 @@ from rffkd import (
 )
 from rffkd.kernel import kernel_exact
 from rffkd.kpca import (
-    GramMatrix,
     approx_residual,
     center_gram,
     exact_feature_embedding,
@@ -35,6 +37,8 @@ from rffkd.kpca import (
 )
 
 mp.dps = 50
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 def small_points(n=5, dim=3, seed=0, scale=1.5):
@@ -89,14 +93,14 @@ class TestGramExact:
     def test_entries_match_pairwise_kernel(self):
         pts = small_points(6, 4)
         sigma = Bandwidth(1.2)
-        g = gram_exact(pts, sigma).g
+        g = gram_exact(pts, sigma)
         for i in range(6):
             for j in range(6):
                 want = kernel_exact(pts.data[i], pts.data[j], sigma)
                 assert g[i, j] == pytest.approx(want, rel=1e-14, abs=1e-15)
 
     def test_unit_diagonal_exact(self):
-        g = gram_exact(small_points(8, 2), Bandwidth(0.5)).g
+        g = gram_exact(small_points(8, 2), Bandwidth(0.5))
         assert np.all(np.diag(g) == 1.0)
 
     def test_exactly_symmetric(self):
@@ -104,7 +108,7 @@ class TestGramExact:
         triangle and mirrors it.  At 250 x 256 (the kpca benchmark's shape)
         and 777 x 33 a plain gemm of x and a copy of x.T is not symmetric."""
         for n, dim in [(30, 5), *ASYMMETRIC_GEMM_SHAPES]:
-            g = gram_exact(small_points(n, dim), Bandwidth(2.0)).g
+            g = gram_exact(small_points(n, dim), Bandwidth(2.0))
             assert np.array_equal(g, g.T), (n, dim)
 
     @pytest.mark.parametrize("n, dim", [(30, 5), *ASYMMETRIC_GEMM_SHAPES])
@@ -117,7 +121,7 @@ class TestGramExact:
         sq = np.maximum(norms[:, None] + norms[None, :] - 2.0 * (x @ x.T), 0.0)
         want = np.exp(sq * (-0.5 / sigma.sigma**2))
         np.fill_diagonal(want, 1.0)
-        assert np.array_equal(gram_exact(pts, sigma).g, want)
+        assert np.array_equal(gram_exact(pts, sigma), want)
 
     def test_peak_memory_is_two_grams(self):
         """The Gram itself and one n x n temporary, the outer sum of the
@@ -129,14 +133,14 @@ class TestGramExact:
         assert traced_peak(gram_exact, pts, sigma) <= 2.25 * 8 * n * n
 
     def test_positive_semidefinite(self):
-        g = gram_exact(small_points(60, 4, seed=3), Bandwidth(1.0)).g
+        g = gram_exact(small_points(60, 4, seed=3), Bandwidth(1.0))
         assert float(np.linalg.eigvalsh(g).min()) >= -1e-10
 
     def test_offset_near_duplicates_match_mpmath(self):
         """The matmul route stays accurate when the points sit far from the
         origin: they are shifted to their mean before the cancellation."""
         x = offset_cloud()
-        g = gram_exact(PointSet(x), Bandwidth(0.01)).g
+        g = gram_exact(PointSet(x), Bandwidth(0.01))
         assert gram_error_vs_mpmath(g, x, 0.01) <= 1e-12
 
     def test_offset_check_catches_uncentered_matmul(self):
@@ -154,7 +158,7 @@ class TestGramExact:
         """At sigma = 2^-511 the exponents of distinct pairs overflow to -inf;
         their kernel is the correct 0, with no warning (the suite turns
         warnings into errors)."""
-        g = gram_exact(small_points(20, 2), Bandwidth(2.0**-511)).g
+        g = gram_exact(small_points(20, 2), Bandwidth(2.0**-511))
         np.testing.assert_array_equal(g, np.eye(20))
 
     @pytest.mark.parametrize(
@@ -173,28 +177,27 @@ class TestGramExact:
             gram_exact(PointSet(np.array(rows)), Bandwidth(1.0))
 
     def test_marked_uncentered_and_readonly(self):
-        gram = gram_exact(small_points(), Bandwidth(1.0))
-        assert not gram.centered
+        g = gram_exact(small_points(), Bandwidth(1.0))
         with pytest.raises(ValueError):
-            gram.g[0, 0] = 2.0
+            g[0, 0] = 2.0
 
 
 class TestCenterGram:
     def test_row_and_column_means_vanish(self):
         c = center_gram(gram_exact(small_points(20, 3), Bandwidth(1.0)))
-        assert float(np.abs(c.g.mean(axis=0)).max()) <= 1e-12
-        assert float(np.abs(c.g.mean(axis=1)).max()) <= 1e-12
+        assert float(np.abs(c.mean(axis=0)).max()) <= 1e-12
+        assert float(np.abs(c.mean(axis=1)).max()) <= 1e-12
 
     def test_identical_points_center_to_zero(self):
         pts = PointSet(np.ones((6, 2)))
         c = center_gram(gram_exact(pts, Bandwidth(1.0)))
-        assert float(np.abs(c.g).max()) <= 1e-14
+        assert float(np.abs(c).max()) <= 1e-14
 
     @pytest.mark.parametrize("n, dim", ASYMMETRIC_GEMM_SHAPES)
     def test_exactly_symmetric(self, n, dim):
         """Bit for bit: centring subtracts r_i + r_j, the same double as
         r_j + r_i, from an exactly symmetric input."""
-        c = center_gram(gram_exact(small_points(n, dim), Bandwidth(1.5 * math.sqrt(dim)))).g
+        c = center_gram(gram_exact(small_points(n, dim), Bandwidth(1.5 * math.sqrt(dim))))
         assert np.array_equal(c, c.T)
 
     def test_peak_memory_is_one_gram_beyond_its_input(self):
@@ -205,10 +208,10 @@ class TestCenterGram:
         center_gram(gram_exact(small_points(4, 8), Bandwidth(3.0)))  # warm-up
         assert traced_peak(center_gram, gram) <= 1.1 * 8 * n * n
 
-    def test_double_centering_refused(self):
+    def test_readonly(self):
         c = center_gram(gram_exact(small_points(), Bandwidth(1.0)))
-        with pytest.raises(ValueError, match="already centered"):
-            center_gram(c)
+        with pytest.raises(ValueError):
+            c[0, 0] = 2.0
 
     def test_matches_centered_feature_outer_product(self):
         """Centering the embedded Gram QQ^T equals forming the Gram of the
@@ -218,8 +221,7 @@ class TestCenterGram:
         from rffkd import embed
 
         q = embed(pts, fmap).features
-        raw = GramMatrix(g=q @ q.T, centered=False)
-        lhs = center_gram(raw).g
+        lhs = center_gram(q @ q.T)
         qc = q - q.mean(axis=0, keepdims=True)
         rhs = qc @ qc.T
         assert float(np.abs(lhs - rhs).max()) <= 1e-8
@@ -228,13 +230,13 @@ class TestCenterGram:
 class TestExactTailEnergy:
     def test_k_zero_is_trace(self):
         c = center_gram(gram_exact(small_points(12, 3), Bandwidth(1.0)))
-        assert exact_tail_energy(c, 0) == pytest.approx(float(np.trace(c.g)), rel=1e-10)
+        assert exact_tail_energy(c, 0) == pytest.approx(float(np.trace(c)), rel=1e-10)
 
     def test_matches_mpmath_spectrum(self):
         """Every tail sum agrees with a 50-digit eigendecomposition."""
         pts = small_points(5, 3, seed=1)
         c = center_gram(gram_exact(pts, Bandwidth(1.3)))
-        vals = mp_eigenvalues_desc(c.g)
+        vals = mp_eigenvalues_desc(c)
         for k in range(5):
             want = float(mp.fsum(vals[k:]))
             got = exact_tail_energy(c, k)
@@ -253,10 +255,6 @@ class TestExactTailEnergy:
         tails = [exact_tail_energy(c, k) for k in range(15)]
         assert all(a >= b - 1e-12 for a, b in zip(tails, tails[1:]))
         assert all(v >= 0.0 for v in tails)
-
-    def test_uncentered_rejected(self):
-        with pytest.raises(ValueError, match="centered"):
-            exact_tail_energy(gram_exact(small_points(), Bandwidth(1.0)), 1)
 
     @pytest.mark.parametrize("k", [-1, 5, 7, 1.5])
     def test_bad_k_rejected(self, k):
@@ -355,7 +353,7 @@ class TestExactFeaturePipeline:
     def test_embedding_reproduces_gram(self):
         c = center_gram(gram_exact(small_points(25, 4, seed=9), Bandwidth(1.1)))
         q = exact_feature_embedding(c)
-        assert float(np.abs(q @ q.T - c.g).max()) <= 1e-8
+        assert float(np.abs(q @ q.T - c).max()) <= 1e-8
 
     def test_columns_are_centered(self):
         c = center_gram(gram_exact(small_points(18, 3, seed=10), Bandwidth(0.9)))
@@ -372,10 +370,6 @@ class TestExactFeaturePipeline:
             want = exact_tail_energy(c, k)
             got = residual_from_centered(q, k)
             assert got == pytest.approx(want, abs=1e-8)
-
-    def test_uncentered_rejected(self):
-        with pytest.raises(ValueError, match="centered"):
-            exact_feature_embedding(gram_exact(small_points(), Bandwidth(1.0)))
 
 
 class TestApproxResidual:
@@ -479,3 +473,28 @@ class TestKpcaExperiment:
         pts = small_points()
         with pytest.raises(ValueError, match="trials"):
             kpca_experiment(pts, Bandwidth(1.0), 1, [8], trials=0, seed=0)
+
+    def test_benchmark_decomposition_is_the_program(self, monkeypatch, tmp_path):
+        """benchmarks/trace_layers.py times kpca as gram_exact, center_gram,
+        exact_tail_energy and approx_residual over maps seeded
+        derive_seed(seed, t, trial).  On the kpca workload's input its rows
+        equal kpca_experiment's bit for bit, so the layers it times are the
+        program's."""
+        monkeypatch.syspath_prepend(str(BENCHMARKS))
+        trace_layers = importlib.import_module("trace_layers")
+        workloads = importlib.import_module("workloads")
+        workload, seed = workloads.WORKLOADS["kpca"], 3
+        inp = tmp_path / "input.f64"
+        workloads.write_input(inp, workloads.mixture(seed, workload.n, workload.dim), "raw-f64")
+        traced = trace_layers.kpca_pass(
+            trace_layers.Tracer(), workload, seed, str(inp), str(tmp_path / "out.csv")
+        )
+        reports = kpca_experiment(
+            PointSet(rffkd.matrixio.read_matrix(str(inp), fmt="raw-f64")),
+            Bandwidth(workloads.SIGMA),
+            workloads.KPCA_K,
+            workloads.KPCA_T_LIST,
+            workloads.KPCA_TRIALS,
+            seed,
+        )
+        assert traced["rows"] == [[r.t, r.r_exact, r.r_approx] for r in reports]

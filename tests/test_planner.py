@@ -20,6 +20,7 @@ from rffkd.planner import (
     _bounded_diameter_raw,
     _finite_points_raw,
     _per_pair_raw,
+    _raw_count,
 )
 
 mp.dps = 50
@@ -311,6 +312,37 @@ class TestDispatch:
         rc, _, err = dims(capsys, regime, epsilon, **flags)
         assert rc == 2
         assert err.startswith(f"rffkd: error: epsilon = {epsilon!r} with constant = {constant}")
+
+    @pytest.mark.parametrize(
+        "regime, epsilon, flags, count",
+        [
+            ("per-pair", 1e-8, {"delta": 0.1}, "2.39659e+17"),
+            ("finite-points", 1e-100, {"n": 10}, "3.59985e+201"),
+        ],
+    )
+    def test_count_past_2_53_is_error(self, capsys, regime, epsilon, flags, count):
+        """A finite count above 2^53, whose trailing digits would be float
+        rounding, exits 2 and names the count."""
+        rc, _, err = dims(capsys, regime, epsilon, **flags)
+        assert (rc, err) == (
+            2,
+            f"rffkd: error: epsilon = {epsilon!r} with constant = 8.0 asks for {count} feature"
+            " pairs, more than 2^53, past which a float count is not exact\n",
+        )
+
+    def test_count_below_2_53_is_planned_exactly(self, capsys):
+        """eps = 1e-7 plans 2396585818843193 pairs, mpmath's ceiling, all
+        digits exact."""
+        oracle = 8 / mp.mpf(1e-7) ** 2 * mp.log(2 / mp.mpf(0.1))
+        rc, row, _ = dims(capsys, "per-pair", 1e-7, delta=0.1)
+        assert rc == 0
+        assert row["pair_count"] == str(int(mp.ceil(oracle))) == "2396585818843193"
+
+    def test_2_53_is_the_last_count_planned(self):
+        """The bound is inclusive: 2^53 itself passes, the next float does not."""
+        assert _raw_count(lambda eps, c: 2.0**53, 0.5, 8.0) == 2.0**53
+        with pytest.raises(ValueError, match="asks for 9.0072e\\+15 feature pairs"):
+            _raw_count(lambda eps, c: math.nextafter(2.0**53, math.inf), 0.5, 8.0)
 
     @pytest.mark.parametrize(
         "regime, flags",

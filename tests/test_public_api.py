@@ -26,7 +26,7 @@ MODULE_ONLY = {
         "check_limit_ratio", "check_mgf_bound", "check_scale_sweep", "check_tail_bound",
     ],
     "kpca": [
-        "GramMatrix", "gram_exact", "center_gram", "exact_tail_energy",
+        "gram_exact", "center_gram", "exact_tail_energy",
         "exact_feature_embedding", "residual_from_centered", "approx_residual",
     ],
     "kernel": [
@@ -45,7 +45,7 @@ def module_names(name):
 
 
 def test_all_is_the_documented_api():
-    assert (len(DOCUMENTED), sum(map(len, MODULE_ONLY.values()))) == (28, 24)
+    assert (len(DOCUMENTED), sum(map(len, MODULE_ONLY.values()))) == (28, 23)
     assert sorted(rffkd.__all__) == sorted(DOCUMENTED)
 
 
