@@ -1,6 +1,6 @@
-"""The package's two argument rules, for counts and for ranged reals.
+"""The package's argument rules, for counts, ranged reals and quotients.
 
-Both raise ValueError naming the argument.  Counts refuse bools and floats,
+Each raises ValueError naming the argument.  Counts refuse bools and floats,
 even integral ones such as 3.0, rather than truncate them.
 """
 
@@ -32,3 +32,13 @@ def real(name: str, value, lo: float, hi: float = math.inf, lo_open: bool = True
             return x
     interval = f"{'(' if lo_open else '['}{lo:g}, {hi:g})"
     raise ValueError(f"{name} must lie in {interval}, got {value!r}")
+
+
+def quotient(name: str, numerator: float, value: float) -> float:
+    """numerator / value, which must not overflow a float, as it does where value is subnormal."""
+    ratio = numerator / float(value)
+    if math.isinf(ratio):
+        raise ValueError(
+            f"{name} must be large enough that {numerator:g}/{name} is finite, got {value!r}"
+        )
+    return ratio

@@ -14,11 +14,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 
 from .features import FeatureMapSpec, Variant, embed_blocks, sample_map
 from .kernel import Bandwidth, PointSet
-from .matrixio import FORMATS, read_matrix, write_blocks
+from .matrixio import FORMATS, _opened, read_matrix, write_blocks, write_matrix
 
 __all__ = ["main", "build_parser"]
 
@@ -40,27 +39,21 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-def _write_report_csv(path, columns, rows) -> None:
+def _write_report_csv(dest, columns, rows) -> None:
     import csv
 
-    with _open_output(path) as out:
+    with _opened(dest, "w") as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
-@contextmanager
-def _open_output(path: str | None, binary: bool = False):
-    if path is None or path == "-":
-        yield sys.stdout.buffer if binary else sys.stdout
-    else:
-        with open(path, "wb" if binary else "w") as handle:
-            yield handle
-
-
-def _write_matrix_output(path, fmt, blocks, shape) -> None:
-    with _open_output(path, binary=fmt == "raw-f64") as out:
-        write_blocks(out, blocks, shape, fmt=fmt)
+def _pop_output(given: dict, fmt: str = "csv"):
+    """--output's path, or stdout where it is absent or '-' (its buffer for raw-f64)."""
+    path = given.pop("output", "-")
+    if path != "-":
+        return path
+    return sys.stdout.buffer if fmt == "raw-f64" else sys.stdout
 
 
 def _parse_t_list(text: str) -> tuple[int, ...]:
@@ -193,12 +186,13 @@ def _cmd_embed(given) -> int:
         size=given.pop("t", 64),
         seed=given.pop("seed", 0),
     )
-    output, fmt = given.pop("output", None), given.pop("output_format", "csv")
+    fmt = given.pop("output_format", "csv")
+    dest = _pop_output(given, fmt)
     _refuse_unread(given, "embed")
     points = PointSet(read_matrix(*source))
     # a few blocks of output in memory at a time, whatever n * output_dim is
     blocks = embed_blocks(points, sample_map(spec, points.dim))
-    _write_matrix_output(output, fmt, blocks, (points.n, spec.output_dim))
+    write_blocks(dest, blocks, (points.n, spec.output_dim), fmt=fmt)
     return 0
 
 
@@ -209,7 +203,7 @@ def _cmd_dims(given) -> int:
     planner_name, names = _REGIMES[regime]
     invoked = f"dims --regime {regime}"
     taken = {name: _required(given, name, invoked) for name in names}
-    constant, output = given.pop("constant", None), given.pop("output", None)
+    constant, dest = given.pop("constant", None), _pop_output(given)
     _refuse_unread(given, invoked)
     result = getattr(planner, planner_name)(epsilon, *taken.values(), constant)
     # one column for every regime's flags, left empty where this one takes none
@@ -219,7 +213,7 @@ def _cmd_dims(given) -> int:
         regime, epsilon, *(taken.get(flag) for flag in flags), constant,
         result.pair_count, result.output_dim, result.formula_note,
     ]
-    _write_report_csv(output, columns, [row])
+    _write_report_csv(dest, columns, [row])
     return 0
 
 
@@ -239,7 +233,7 @@ def _cmd_kpca(given) -> int:
     variant, sigma = given.pop("variant", "cossin"), given.pop("sigma", 1.0)
     seed, k, trials = given.pop("seed", 0), given.pop("k", 40), given.pop("trials", 10)
     t_list = _parse_t_list(given.pop("t_list", "50,100,200,400,800"))
-    output = given.pop("output", None)
+    dest = _pop_output(given)
     _refuse_unread(given, invoked)
     points = PointSet(read_matrix(*source)) if source else synth_dataset(n, dim, clusters, seed)
     reports = kpca_experiment(
@@ -247,7 +241,7 @@ def _cmd_kpca(given) -> int:
     )
     columns = ["sigma", "t", "k", "R_exact", "R_approx", "rel_err"]
     rows = [[r.sigma, r.t, r.k, r.r_exact, r.r_approx, r.rel_err] for r in reports]
-    _write_report_csv(output, columns, rows)
+    _write_report_csv(dest, columns, rows)
     if reports[0].r_exact == 0.0:
         print(
             f"rffkd: note: rel_err is nan because the exact tail energy R_exact is 0 at"
@@ -266,7 +260,7 @@ def _cmd_pairs(given) -> int:
     variant, sigma = given.pop("variant", "cossin"), given.pop("sigma", 1.0)
     seed = given.pop("seed", 0)
     t_list = _parse_t_list(given.pop("t_list", "50,100,200,400,800"))
-    output = given.pop("output", None)
+    dest = _pop_output(given)
     _refuse_unread(given, "pairs")
     reports = pairs_experiment(
         n_pairs, dim, ball_radius, dist_min, dist_max, Bandwidth(sigma), t_list, seed,
@@ -278,7 +272,7 @@ def _cmd_pairs(given) -> int:
         for rep in reports
         for i in range(rep.radii.shape[0])
     )
-    _write_report_csv(output, columns, rows)
+    _write_report_csv(dest, columns, rows)
     return 0
 
 
@@ -289,14 +283,14 @@ def _cmd_verify(given) -> int:
     # the benchmark's verify workload passes it.
     given.pop("sigma", None)
     seed, samples = given.pop("seed", 0), given.pop("samples", 1_000_000)
-    output = given.pop("output", None)
+    dest = _pop_output(given)
     _refuse_unread(given, "verify")
     reports = run_battery(seed, samples=samples)
     columns = ["name", "samples", "statistic", "bound", "std_err", "passed"]
     rows = [
         [r.check_name, r.samples, r.statistic, r.bound, r.std_err, r.passed] for r in reports
     ]
-    _write_report_csv(output, columns, rows)
+    _write_report_csv(dest, columns, rows)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -304,7 +298,8 @@ def _cmd_gen(given) -> int:
     from .experiments import gen_grid_stress, synth_dataset
 
     kind = given.pop("kind")
-    output, fmt = given.pop("output", None), given.pop("output_format", "csv")
+    fmt = given.pop("output_format", "csv")
+    dest = _pop_output(given, fmt)
     if kind == "synth":
         n, dim = given.pop("n", 2000), given.pop("dim", 256)
         clusters, seed = given.pop("clusters", 10), given.pop("seed", 0)
@@ -315,7 +310,7 @@ def _cmd_gen(given) -> int:
         sigma, epsilon = given.pop("sigma", 1.0), given.pop("epsilon", 0.25)
         _refuse_unread(given, "gen --kind grid")
         points = gen_grid_stress(dim, diameter, Bandwidth(sigma), epsilon)
-    _write_matrix_output(output, fmt, [points.data], points.data.shape)
+    write_matrix(dest, points.data, fmt=fmt)
     return 0
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import integer, real
+from ._checks import integer, quotient, real
 from .features import FeatureMapSpec, Variant, embed, sample_map
 from .kernel import Bandwidth, PointSet, distance_from_scaled_norm
 from .streams import check_seed, derive_seed, generator
@@ -45,7 +45,6 @@ class PairExperimentReport:
     d_exact: np.ndarray
     d_approx: np.ndarray
     ratios: np.ndarray
-    eps_max: float
 
 
 def _unit_directions(gen: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -107,8 +106,9 @@ def pairs_experiment(
     """Run the pair experiment for every t in t_list.
 
     Each t gets a fresh pair sample and a fresh map (seeds derived from
-    (seed, index)).  Ratios are exact distance over embedded distance;
-    pairs are distinct by construction so the ratio is always defined.
+    (seed, index)).  Ratios are exact distance over embedded distance; a
+    pair whose exact or embedded distance is 0, as at distances far below
+    sigma, has no ratio and is refused.
     t_list, seed and variant are checked before any of the work, and
     gen_pairs checks the rest before it draws.
     """
@@ -128,13 +128,17 @@ def pairs_experiment(
         ey = embed(PointSet(ys), fmap).features
         d_approx = np.linalg.norm(ex - ey, axis=1)
         d_exact = distance_from_scaled_norm(radii / sigma.sigma)
+        if not (np.all(d_exact > 0.0) and np.all(d_approx > 0.0)):
+            raise ValueError(
+                f"pair distances in [dist_min, dist_max] = [{dist_min!r}, {dist_max!r}] vanish "
+                f"at sigma {sigma.sigma!r}: an exact or embedded distance is 0, so no ratio exists"
+            )
         ratios = d_exact / d_approx
-        eps_max = float(np.max(np.abs(ratios - 1.0)))
         for arr in (d_exact, d_approx, ratios):
             arr.setflags(write=False)
         reports.append(
             PairExperimentReport(
-                t=t, radii=radii, d_exact=d_exact, d_approx=d_approx, ratios=ratios, eps_max=eps_max
+                t=t, radii=radii, d_exact=d_exact, d_approx=d_approx, ratios=ratios
             )
         )
     return reports
@@ -147,12 +151,13 @@ def gen_grid_stress(dim: int, diameter: float, sigma: Bandwidth, epsilon: float)
     kernel equals eps, and the lattice fills the axis-aligned box of
     half-width `diameter`: every coordinate is a step multiple k with
     |k| <= floor(diameter / step).  Refuses sets larger than the desk-scale
-    cap dim * count <= GRID_SIZE_LIMIT.
+    cap dim * count <= GRID_SIZE_LIMIT, and an epsilon whose reciprocal
+    overflows a float.
     """
     dim = integer("dim", dim)
     real("diameter", diameter, 0.0)
     real("epsilon", epsilon, 0.0, 1.0)
-    step = sigma.sigma * math.sqrt(2.0 * math.log(1.0 / epsilon))
+    step = sigma.sigma * math.sqrt(2.0 * math.log(quotient("epsilon", 1.0, epsilon)))
     # the relative nudge keeps exact multiples of the step inside the box
     steps = (diameter / step) * (1.0 + 1e-12)
     if not math.isfinite(steps):

@@ -51,7 +51,6 @@ class PcaReport:
     r_exact: float
     r_approx: float
     rel_err: float
-    trials: int
 
 
 def gram_exact(points: PointSet, sigma: Bandwidth) -> np.ndarray:
@@ -233,7 +232,6 @@ def kpca_experiment(
                 r_exact=r_exact,
                 r_approx=r_approx,
                 rel_err=rel_err,
-                trials=trials,
             )
         )
     return reports

@@ -146,6 +146,17 @@ def _write_raw_blocks(dest, blocks, shape) -> None:
             out.write(memoryview(np.ascontiguousarray(block, dtype="<f8")))
 
 
+def _fill(handle, buffer) -> int:
+    """Bytes read into buffer until it is full or the input ends; a pipe delivers in pieces."""
+    view, done = memoryview(buffer).cast("B"), 0
+    while done < view.nbytes:
+        got = handle.readinto(view[done:])
+        if not got:
+            break
+        done += got
+    return done
+
+
 def _read_raw(src) -> np.ndarray:
     """Read the raw-f64 format, validating magic, header, and payload size.
 
@@ -157,50 +168,43 @@ def _read_raw(src) -> np.ndarray:
     """
     # unbuffered, so nothing is read ahead of the payload
     with _opened(src, "rb", buffering=0) as handle:
-        head = handle.read(_HEADER.size)
-        if len(head) < _HEADER.size:
+        head = bytearray(_HEADER.size)
+        size = _fill(handle, head)
+        if size < _HEADER.size:
             raise MatrixFormatError(
-                f"truncated header: need {_HEADER.size} bytes, file has {len(head)}",
-                offset=len(head),
+                f"truncated header: need {_HEADER.size} bytes, file has {size}", offset=size
             )
         magic, n, d = _HEADER.unpack(head)
         if magic != MAGIC:
             raise MatrixFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
         if n < 1 or d < 1:
             raise MatrixFormatError(f"header declares empty matrix {n}x{d}", offset=4)
+        expected = _HEADER.size + 8 * n * d
         if handle.seekable():
-            rest, here = None, handle.tell()
-            size = _HEADER.size + handle.seek(0, SEEK_END) - here
+            here = handle.tell()
+            size += handle.seek(0, SEEK_END) - here
             handle.seek(here)
+            if size == expected:
+                payload = np.empty((n, d), dtype="<f8")
+                # less than the whole payload where the file shrank since its size was taken
+                size = _HEADER.size + _fill(handle, payload)
         else:
             rest = handle.read()
-            size = _HEADER.size + len(rest)
-        expected = _HEADER.size + 8 * n * d
-
-        def ends_early(size):
-            return MatrixFormatError(
-                f"payload ends early: {n}x{d} matrix needs {expected} bytes, file has {size}",
-                offset=size,
-            )
-
-        if size < expected:
-            raise ends_early(size)
-        if size > expected:
-            raise MatrixFormatError(
-                f"trailing bytes after {n}x{d} payload: expected {expected} bytes, file has {size}",
-                offset=expected,
-            )
-        if rest is not None:
-            return np.frombuffer(rest, dtype="<f8").reshape(n, d)
-        out = np.empty((n, d), dtype="<f8")
-        view, done = memoryview(out).cast("B"), 0
-        while done < view.nbytes:
-            got = handle.readinto(view[done:])
-            if not got:  # the file shrank since its size was taken
-                raise ends_early(_HEADER.size + done)
-            done += got
-    out.setflags(write=False)
-    return out
+            size += len(rest)
+            if size == expected:
+                payload = np.frombuffer(rest, dtype="<f8").reshape(n, d)
+    if size < expected:
+        raise MatrixFormatError(
+            f"payload ends early: {n}x{d} matrix needs {expected} bytes, file has {size}",
+            offset=size,
+        )
+    if size > expected:
+        raise MatrixFormatError(
+            f"trailing bytes after {n}x{d} payload: expected {expected} bytes, file has {size}",
+            offset=expected,
+        )
+    payload.setflags(write=False)
+    return payload
 
 
 def write_matrix(dest, data, fmt: str = "csv") -> None:

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._checks import integer, real
+from ._checks import integer, quotient, real
 from ._pool import in_order
 from .features import (
     FeatureMap,
@@ -253,7 +253,7 @@ def check_scale_sweep(epsilon: float, delta: float, seed: int) -> VerifyReport:
     if delta >= 1.0 / math.e:
         raise ValueError(f"delta must lie in (0, 1/e) so the threshold norm exists, got {delta}")
     lam = np.logspace(-6, 0, 25)
-    r = math.sqrt(epsilon) / math.log(1.0 / delta)
+    r = math.sqrt(epsilon) / math.log(quotient("delta", 1.0, delta))
     gen = _generator(seed)
     violated = np.empty(100, dtype=bool)
     for trial in range(violated.size):
@@ -282,7 +282,7 @@ def check_tail_bound(
     real("delta", delta, 0.0, 1.0)
     trials = integer("trials", trials)
     d_sq = sq_distance_from_scaled_norm(r)
-    t = math.ceil((6.0 / epsilon**2) * (r**4 / d_sq**2) * math.log(2.0 / delta))
+    t = math.ceil((6.0 / epsilon**2) * (r**4 / d_sq**2) * math.log(quotient("delta", 2.0, delta)))
     w = _generator(seed).standard_normal((trials, t))
     d_hat_sq = sq_distance_from_projections(w, r)
     return _violation_rate(

@@ -348,6 +348,21 @@ class TestGen:
         assert (rc, out) == (2, "")
         assert err.startswith(f"rffkd: error: grid 3^{dim} would hold over 2^32 points in dim {dim},")
 
+    def test_epsilon_whose_reciprocal_overflows_refused(self, capsys):
+        """The grid step needs ln(1/epsilon): the smallest epsilon whose
+        reciprocal is a finite float runs, and the float below it and
+        subnormal epsilons are refused by name, with no warning."""
+        argv = ["gen", "--kind", "grid", "--diameter", "3", "--epsilon"]
+        lo = 5.56268464626801e-309
+        assert math.isfinite(1.0 / lo) and math.isinf(1.0 / math.nextafter(lo, 0.0))
+        assert run_cli(capsys, *argv, repr(lo)) == (0, "0,0\n", "")
+        for eps in (math.nextafter(lo, 0.0), 1e-310, 5e-324):
+            rc, out, err = run_cli(capsys, *argv, repr(eps))
+            assert (rc, out) == (2, "")
+            assert err == (
+                f"rffkd: error: epsilon must be large enough that 1/epsilon is finite, got {eps!r}\n"
+            )
+
     def test_grid_requires_diameter(self, capsys):
         rc, out, err = run_cli(capsys, "gen", "--kind", "grid")
         assert (rc, out) == (2, "")
@@ -475,6 +490,50 @@ class TestPairs:
         rc, out, err = run_cli(capsys, *argv)
         assert (rc, out) == (2, "")
         assert err.startswith("rffkd: error: pair distances in [dist_min, dist_max]")
+
+    def test_vanishing_distances_refused(self, tmp_path, capsys):
+        """180 decades below sigma both distances of a pair are 0, and their
+        ratio 0/0 would print as nan with exit 0."""
+        dest = tmp_path / "pairs.csv"
+        argv = (
+            "--sigma 1e150 pairs --dist-min 1e-30 --dist-max 1e-30 --ball-radius 1e-20"
+            f" --pairs 2 --t-list 4 --output {dest}"
+        )
+        rc, out, err = run_cli(capsys, *argv.split())
+        assert (rc, out) == (2, "") and not dest.exists()
+        assert err == (
+            "rffkd: error: pair distances in [dist_min, dist_max] = [1e-30, 1e-30] vanish at"
+            " sigma 1e+150: an exact or embedded distance is 0, so no ratio exists\n"
+        )
+
+
+class TestOutputDestination:
+    """--output - and no --output write to stdout the bytes that --output
+    FILE writes to the file, for each matrix format and a report."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "--t 4 embed --input {points}",
+            "--t 4 embed --input {points} --output-format raw-f64",
+            "gen --kind synth --n 30 --dim 3 --clusters 2",
+            "gen --kind grid --diameter 3 --output-format raw-f64",
+            "dims --regime per-pair --epsilon 0.3 --delta 0.2",
+        ],
+        ids=["embed-csv", "embed-raw", "gen-csv", "gen-raw", "dims"],
+    )
+    def test_stdout_bytes_equal_file_bytes(self, tmp_path, capsysbinary, argv):
+        points, dest = tmp_path / "points.csv", tmp_path / "out"
+        write_matrix(points, np.random.default_rng(0).standard_normal((6, 3)))
+        argv = argv.format(points=points).split()
+        runs = [main([*argv, *extra]) for extra in ([], ["--output", "-"])]
+        assert runs == [0, 0]
+        both = capsysbinary.readouterr()
+        assert main([*argv, "--output", str(dest)]) == 0
+        assert capsysbinary.readouterr() == (b"", b"")
+        written = dest.read_bytes()
+        assert len(written) > 0
+        assert both == (2 * written, b"")
 
 
 class TestOutOfRange:

@@ -413,7 +413,7 @@ class TestKpcaExperiment:
         assert a == b
         assert [r.t for r in a] == [20, 40]
         for r in a:
-            assert r.k == 5 and r.trials == 3 and r.sigma == 1.5
+            assert r.k == 5 and r.sigma == 1.5
             assert r.r_exact > 0 and r.r_approx > 0
             assert r.rel_err >= 0.0
             # the mean-of-errors dominates the error-of-means

@@ -211,6 +211,24 @@ class NoSeek(io.RawIOBase):
         return self.data.readinto(b)
 
 
+class Pieces(NoSeek):
+    """A pipe whose writer sends at most four bytes at a time."""
+
+    def readinto(self, b):
+        return self.data.readinto(memoryview(b)[:4])
+
+
+class Shrinks(io.BytesIO):
+    """A file cut to `end` bytes after its size was taken."""
+
+    def __init__(self, data, end):
+        super().__init__(data)
+        self.end = end
+
+    def readinto(self, b):
+        return super().readinto(memoryview(b)[: max(0, self.end - self.tell())])
+
+
 class TestReadRawMemory:
     def test_payload_held_once(self, tmp_path):
         """The read keeps the bytes it read; a converted copy would double the peak."""
@@ -270,6 +288,25 @@ class TestReadRawMemory:
         short = io.BufferedReader(NoSeek(buf.getvalue()[:-8]))
         with pytest.raises(MatrixFormatError, match="payload ends early"):
             read_matrix(short, fmt="raw-f64")
+
+    def test_header_in_pieces(self):
+        """A pipe may deliver the 12-byte header in pieces, such as "RFFM"
+        first; each is read until the header is whole."""
+        a = np.random.default_rng(4).standard_normal((5, 3))
+        buf = io.BytesIO()
+        write_matrix(buf, a, fmt="raw-f64")
+        assert read_matrix(Pieces(buf.getvalue()), fmt="raw-f64").tobytes() == a.tobytes()
+        with pytest.raises(MatrixFormatError, match="file has 10") as info:
+            read_matrix(Pieces(buf.getvalue()[:10]), fmt="raw-f64")
+        assert info.value.offset == 10
+
+    def test_file_that_shrank_while_read(self):
+        """Its size promised the whole payload, but the reads end at 30 bytes."""
+        buf = io.BytesIO()
+        write_matrix(buf, np.ones((2, 2)), fmt="raw-f64")
+        with pytest.raises(MatrixFormatError, match="ends early.* file has 30") as info:
+            read_matrix(Shrinks(buf.getvalue(), 30), fmt="raw-f64")
+        assert info.value.offset == 30
 
     def test_result_is_aligned(self, tmp_path):
         """The payload is read apart from the 12-byte header, so the view

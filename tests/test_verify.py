@@ -320,6 +320,16 @@ class TestScaleSweep:
         with pytest.raises(ValueError, match="1/e"):
             check_scale_sweep(0.2, 0.5, seed=0)
 
+    def test_delta_whose_reciprocal_overflows_refused(self):
+        """r needs ln(1/delta): the smallest delta whose reciprocal is a finite
+        float runs, and the float below it and subnormal deltas are refused."""
+        lo = 5.56268464626801e-309
+        assert math.isfinite(1.0 / lo) and math.isinf(1.0 / math.nextafter(lo, 0.0))
+        assert check_scale_sweep(0.9, lo, 0).passed
+        for delta in (math.nextafter(lo, 0.0), 1e-310, 5e-324):
+            with pytest.raises(ValueError, match=re.escape(f"1/delta is finite, got {delta!r}")):
+                check_scale_sweep(0.9, delta, 0)
+
 
 class TestTailBound:
     def test_feature_count_formula(self):
@@ -344,6 +354,16 @@ class TestTailBound:
             check_tail_bound(0.5, 0.0, 0.1, trials=10, seed=0)
         with pytest.raises(ValueError, match="delta"):
             check_tail_bound(0.5, 0.25, 1.0, trials=10, seed=0)
+
+    def test_delta_whose_quotient_overflows_refused(self):
+        """t needs ln(2/delta): the smallest delta where 2/delta is a finite
+        float runs, and the float below it and subnormal deltas are refused."""
+        lo = 1.112536929253601e-308
+        assert math.isfinite(2.0 / lo) and math.isinf(2.0 / math.nextafter(lo, 0.0))
+        assert check_tail_bound(0.5, 0.9, lo, 10, 0).passed
+        for delta in (math.nextafter(lo, 0.0), 1e-310, 5e-324):
+            with pytest.raises(ValueError, match=re.escape(f"2/delta is finite, got {delta!r}")):
+                check_tail_bound(0.5, 0.9, delta, 10, 0)
 
 
 class TestBattery:
