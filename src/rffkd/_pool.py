@@ -1,8 +1,9 @@
 """The package's one concurrency rule, for embed's blocks, verify's checks and
 the CSV writer's formatting: WORKERS threads whatever the CPU count, so memory
 does not grow with the machine; and one_blas_thread, which runs embed's
-projection matmuls on one OpenBLAS thread, so their bytes do not depend on the
-thread count and the pool's threads do not contend with BLAS's own.
+projection matmuls, and kpca's column blocks of the embedded Gram, on one
+OpenBLAS thread, so their bytes do not depend on the thread count and the
+pool's threads do not contend with BLAS's own.
 
 Each in_order call builds its own pool, so a CSV embed that pools its blocks
 runs two pools at once.  That is by design: one process-wide pool of WORKERS

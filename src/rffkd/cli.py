@@ -4,9 +4,10 @@ Subcommands: embed (map a matrix of points), dims (feature-count planning),
 kpca (tail-energy experiment), pairs (distance-ratio experiment), verify
 (statistical battery; exit code 0 iff every check passes), gen (synthetic
 datasets and stress grids).  All output is CSV to stdout unless --output
-names a file.  A flag that the command, as invoked, does not read is refused
-with exit code 2 before any input is read or output opened.  A command
-imports the modules that only it uses when it runs.
+names a file; --input - reads the input matrix from stdin.  A flag that the
+command, as invoked, does not read is refused with exit code 2 before any
+input is read or output opened.  A command imports the modules that only it
+uses when it runs.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def _add_output_flags(sub, matrix: bool) -> None:
 
 
 def _add_input_flags(sub) -> None:
-    sub.add_argument("--input", help="input matrix file")
+    sub.add_argument("--input", help="input matrix file, or - for stdin")
     sub.add_argument("--input-format", choices=FORMATS, help="matrix input format")
     sub.add_argument(
         "--header", action="store_true", help="input CSV has a header row to skip"
@@ -173,9 +174,12 @@ def _required(given: dict, name: str, invoked: str):
 
 
 def _pop_input(given: dict, invoked: str) -> tuple:
-    """read_matrix's (path, fmt, header)."""
-    path = _required(given, "input", invoked)
-    return path, given.pop("input_format", "csv"), given.pop("header", False)
+    """read_matrix's (source, fmt, header): --input's path, or stdin where it
+    is '-' (its buffer for raw-f64)."""
+    path, fmt = _required(given, "input", invoked), given.pop("input_format", "csv")
+    if path == "-":
+        path = sys.stdin.buffer if fmt == "raw-f64" else sys.stdin
+    return path, fmt, given.pop("header", False)
 
 
 def _cmd_embed(given) -> int:

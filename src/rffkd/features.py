@@ -202,6 +202,30 @@ def _pipeline(points: PointSet, fmap: FeatureMap, out: np.ndarray | None = None)
         yield from in_order(jobs, WORKERS + 1 if len(blocks) >= _POOL_MIN_BLOCKS else 0)
 
 
+def _column_blocks(points: PointSet, fmap: FeatureMap, values: int):
+    """The columns of embed(points, fmap).features, as fresh n-row blocks in
+    order: each holds the features of `stride` frequency rows, as many as
+    keep it within `values` entries (at least one), and the last block takes
+    what is left.
+
+    Each block is _block of all the points on a slice of the map, so its
+    values are embed's up to the summation order of the projection matmul.
+    The checks on the points run before the first block is made.
+    """
+    _check_points(points, fmap)
+    size = fmap.spec.size
+    per_row = fmap.spec.output_dim // size
+    stride = max(1, values // (points.n * per_row))
+    for lo in range(0, size, stride):
+        hi = min(lo + stride, size)
+        part = FeatureMap(
+            fmap.spec,
+            fmap.frequencies[lo:hi],
+            None if fmap.shifts is None else fmap.shifts[lo:hi],
+        )
+        yield _block(points.data, part, np.empty((points.n, per_row * (hi - lo))))
+
+
 def embed(points: PointSet, fmap: FeatureMap) -> Embedding:
     """Apply the map to every row of points.
 

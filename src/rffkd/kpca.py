@@ -3,14 +3,16 @@
 The exact side forms the Gaussian Gram matrix, double-centers it, and sums
 the eigenvalues past the top k (the energy a rank-k kernel PCA leaves
 behind).  The approximate side never touches the kernel Gram matrix: it
-embeds the points, centers the embedding columns, and measures the squared
-Frobenius residual after projecting rows onto their own top-k right
-singular subspace.  That residual is the sum of the squared singular values
-past the top k, so it is read off the eigenvalues of the smaller of the
-embedding's two Gram products Q Q^T and Q^T Q, with no singular vectors
-formed.  When the embedded inner products are close to the kernel, the
-residual is close to the exact tail energy, and kpca_experiment quantifies
-that over independently drawn maps.
+measures the squared Frobenius residual of the column-centered embedding
+after projecting rows onto their own top-k right singular subspace.  That
+residual is the sum of the squared singular values past the top k, so it is
+read off the eigenvalues of the smaller of the embedding's two Gram products
+Q Q^T and Q^T Q, with no singular vectors formed.  When Q Q^T is the smaller,
+it is summed from column blocks of the embedding, one slice of the map's
+frequencies at a time, so a trial's memory does not grow with the map's
+size beyond the map itself.  When the embedded inner products are close to
+the kernel, the residual is close to the exact tail energy, and
+kpca_experiment quantifies that over independently drawn maps.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from ._checks import integer
-from .features import FeatureMap, FeatureMapSpec, Variant, embed, sample_map
+from ._pool import one_blas_thread
+from .features import FeatureMap, FeatureMapSpec, Variant, _column_blocks, embed, sample_map
 from .kernel import Bandwidth, PointSet
 from .streams import check_seed, derive_seed
 
@@ -155,24 +158,57 @@ def residual_from_centered(q: np.ndarray, k: int) -> float:
     if q.ndim != 2:
         raise ValueError("expected a 2-d matrix of embedded rows")
     n, m = q.shape
+    k = _residual_k(k, n, m)
+    return _tail(q @ q.T if n <= m else q.T @ q, k)
+
+
+def _residual_k(k, n: int, m: int) -> int:
+    """k, checked to leave a tail of an n x m embedding's spectrum."""
     k = integer("k", k, minimum=0)
     if k >= min(n, m):
-        raise ValueError(f"k must be an integer in [0, min(n, m)), got k={k} with shape {q.shape}")
-    gram = q @ q.T if n <= m else q.T @ q
+        raise ValueError(f"k must be an integer in [0, min(n, m)), got k={k} with shape {(n, m)}")
+    return k
+
+
+def _tail(gram: np.ndarray, k: int) -> float:
+    """Sum of a Gram product's eigenvalues past the top k, each clipped at 0."""
     vals = np.linalg.eigvalsh(gram)  # ascending
-    return float(np.sum(np.clip(vals[: min(n, m) - k], 0.0, None)))
+    return float(np.sum(np.clip(vals[: gram.shape[0] - k], 0.0, None)))
+
+
+# Values in one column block of approx_residual's n x n Gram: 512 KiB of
+# features, plus half that of projections for CosSin.  The kpca benchmark's
+# 250 points at t = 1600 take 13 blocks of 131 frequency rows.
+_GRAM_BLOCK_VALUES = 64 * 1024
 
 
 def approx_residual(points: PointSet, fmap: FeatureMap, k: int) -> float:
-    """Tail-energy estimate from one sampled map.
+    """Tail-energy estimate from one sampled map: the squared residual of the
+    column-centred embedding outside its own top-k right singular subspace.
 
-    Embeds the points, centers each embedding column on its mean in place,
-    and returns the squared residual outside the embedding's own top-k right
-    singular subspace.
+    With no more points n than features m, the n x n Gram of the centred
+    embedding is summed from column blocks of _GRAM_BLOCK_VALUES values: each
+    block is the features of all points on a slice of the frequencies,
+    centred on its column means, and adds its own b b^T.  Those blocks and
+    their products run on one OpenBLAS thread, and the embedding is never
+    held whole.  With more points than features, the embedding is made whole,
+    centred in place, and dropped once its m x m Gram Q^T Q is formed.  Either
+    way the eigensolve runs on BLAS's own threads.
     """
-    q = embed(points, fmap).features
-    q -= q.mean(axis=0, keepdims=True)
-    return residual_from_centered(q, k)
+    n, m = points.n, fmap.spec.output_dim
+    k = _residual_k(k, n, m)
+    if n > m:
+        q = embed(points, fmap).features
+        q -= q.mean(axis=0, keepdims=True)
+        gram = q.T @ q
+        del q
+        return _tail(gram, k)
+    gram = np.zeros((n, n))
+    with one_blas_thread():
+        for block in _column_blocks(points, fmap, _GRAM_BLOCK_VALUES):
+            block -= block.mean(axis=0, keepdims=True)
+            gram += block @ block.T
+    return _tail(gram, k)
 
 
 def kpca_experiment(
@@ -208,8 +244,8 @@ def kpca_experiment(
                 f"k must be an integer in [0, min(n, output_dim)), got k={k} with n={n}"
                 f" and output_dim={m} at t={t}"
             )
-    centered = center_gram(gram_exact(points, sigma))
-    r_exact = exact_tail_energy(centered, k)
+    # the exact side's n x n arrays are freed before the first map is drawn
+    r_exact = exact_tail_energy(center_gram(gram_exact(points, sigma)), k)
     reports = []
     for t in t_list:
         residuals = np.empty(trials)
@@ -217,8 +253,8 @@ def kpca_experiment(
             spec = FeatureMapSpec(
                 variant=variant, sigma=sigma, size=t, seed=derive_seed(seed, t, trial)
             )
-            fmap = sample_map(spec, points.dim)
-            residuals[trial] = approx_residual(points, fmap, k)
+            # no name holds the map, so it is freed before the next is drawn
+            residuals[trial] = approx_residual(points, sample_map(spec, points.dim), k)
         r_approx = float(residuals.mean())
         if r_exact == 0.0:
             rel_err = float("nan")

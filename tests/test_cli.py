@@ -536,6 +536,33 @@ class TestOutputDestination:
         assert both == (2 * written, b"")
 
 
+class TestStdinInput:
+    """--input - reads stdin, as --output - writes stdout: a pipe gives the
+    bytes that --input FILE gives, for each input format and both commands
+    that read a matrix.  Only a real pipe shows this: it cannot seek, so raw
+    input takes the reader's branch for such streams."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "raw-f64"])
+    @pytest.mark.parametrize(
+        "argv",
+        ["--t 5 embed", "kpca --k 2 --t-list 8,40 --trials 1"],
+        ids=["embed", "kpca"],
+    )
+    def test_pipe_bytes_equal_file_bytes(self, tmp_path, capsysbinary, argv, fmt):
+        points = tmp_path / "points"
+        write_matrix(points, np.random.default_rng(3).standard_normal((30, 3)), fmt=fmt)
+        argv = [*argv.split(), "--input-format", fmt, "--input"]
+        assert main([*argv, str(points)]) == 0
+        from_file = capsysbinary.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "rffkd.cli", *argv, "-"],
+            input=points.read_bytes(), capture_output=True, env=package_env(), timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert len(from_file.out) > 0
+        assert (proc.stdout, b"") == from_file
+
+
 class TestOutOfRange:
     """Bandwidths and grid sizes that over- or underflow a double exit 2
     with a message naming the argument, not with a traceback or NaN output."""
@@ -844,15 +871,21 @@ class TestParser:
             main(["--variant", "fourier", "verify"])
 
 
-def fresh_stdout(code, *argv, **env):
-    """stdout of a fresh interpreter that runs code with argv, with the
-    package's source on its path and env added to its environment."""
+def package_env(**env):
+    """This process's environment with env added and the package's source
+    first on PYTHONPATH, for a fresh interpreter."""
     env = {**os.environ, **env}
     src = str(Path(rffkd.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def fresh_stdout(code, *argv, **env):
+    """stdout of a fresh interpreter that runs code with argv, with the
+    package's source on its path and env added to its environment."""
     proc = subprocess.run(
         [sys.executable, "-c", code, *map(str, argv)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=package_env(**env), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -945,9 +978,7 @@ def test_closed_stdout_ends_quietly(tmp_path):
     """A reader that stops after 100 bytes, as `rffkd gen ... | head -c 100`
     does, ends the CLI with status 141 (128 + SIGPIPE) and an empty stderr.
     Only a real pipe shows this: capsys has no file descriptor to close."""
-    env = dict(os.environ)
-    src = str(Path(rffkd.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = package_env()
     # 200 x 256 CSV values, about 1 MB: far more than a pipe buffer holds
     argv = [sys.executable, "-m", "rffkd.cli", "gen", "--kind", "synth", "--n", "200"]
     with open(tmp_path / "stderr", "w+b") as err:

@@ -72,6 +72,11 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+# approx_residual's column block: its features and, for CosSin, half as many
+# projections
+GRAM_BLOCK_BYTES = 8 * rffkd.kpca._GRAM_BLOCK_VALUES * 3 // 2
+
+
 # the kpca benchmark's point-set shape, and one whose gemm of x and a copy of
 # x.T is not symmetric
 ASYMMETRIC_GEMM_SHAPES = [(250, 256), (777, 33)]
@@ -383,15 +388,40 @@ class TestApproxResidual:
         want = residual_from_centered(q, 3)
         assert approx_residual(pts, fmap, 3) == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("variant", list(Variant))
-    def test_equals_copy_then_centre_bits(self, variant):
-        """Centring the embedding in place gives the bits of centring a copy,
-        on both Gram paths (n <= m for cossin here, n > m for cosshift)."""
-        pts = small_points(40, 4, seed=21)
+    @pytest.mark.parametrize(
+        "variant, n",
+        [
+            pytest.param(Variant.COS_SIN, 40, id="cossin"),
+            pytest.param(Variant.COS_SHIFT, 40, id="cosshift"),
+            pytest.param(Variant.COS_SIN, 60, id="cossin-more-points"),
+            pytest.param(Variant.COS_SHIFT, 20, id="cosshift-fewer-points"),
+        ],
+    )
+    def test_equals_copy_then_centre_bits(self, variant, n):
+        """Centring the embedding gives the bits of centring a copy of it:
+        where there are more points than features (n > m; m = 48 for cossin
+        and 24 for cosshift), and where the n x n Gram takes one column block."""
+        pts = small_points(n, 4, seed=21)
         fmap = sample_map(FeatureMapSpec(variant, Bandwidth(1.0), 24, 22), 4)
         q = embed(pts, fmap).features
         want = residual_from_centered(q - q.mean(axis=0, keepdims=True), 3)
         assert approx_residual(pts, fmap, 3) == want
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_column_blocks_sum_to_the_whole_gram(self, variant):
+        """With no more points than features, the Gram summed from at least
+        three column blocks, the last one partial, gives the residual of the
+        whole centred embedding to 1e-12: every block is centred, and none
+        is dropped."""
+        n, per_row = 300, 2 if variant is Variant.COS_SIN else 1
+        stride = rffkd.kpca._GRAM_BLOCK_VALUES // (n * per_row)
+        t = 3 * stride + stride // 2  # three whole blocks and a half one
+        assert per_row * t >= n
+        pts = small_points(n, 5, seed=25)
+        fmap = sample_map(FeatureMapSpec(variant, Bandwidth(2.0), t, 26), 5)
+        q = embed(pts, fmap).features
+        want = residual_from_centered(q - q.mean(axis=0, keepdims=True), 7)
+        assert approx_residual(pts, fmap, 7) == pytest.approx(want, rel=1e-12)
 
     def test_converges_to_exact_tail(self):
         """A large map's residual lands within a few percent of the exact
@@ -430,23 +460,27 @@ class TestKpcaExperiment:
         assert reports[0].r_exact == 0.0
         assert math.isnan(reports[0].rel_err)
 
-    def test_memory_holds_one_embedding(self):
-        """Peak traced memory is one embedding at the largest t, its map and
-        one block, plus a few n x n arrays (the centred Gram, the embedding's
-        Gram product and the eigensolver's copy of it): each embedding is
-        centred in place, not copied."""
+    def test_memory_holds_no_embedding(self):
+        """Peak traced memory is one map at the largest t, one column block of
+        features and projections, and a few n x n arrays (the exact side's,
+        or a trial's Gram beside a block's product): no n x 2t embedding,
+        and no second map while the next one is drawn."""
         n, dim, t = 250, 256, 1600
         pts = synth_dataset(n, dim, 10, seed=23)
         sigma = Bandwidth(16.0)
         kpca_experiment(pts, sigma, 2, [8], trials=1, seed=0)  # lazy imports stay outside the peak
-        tracemalloc.start()
-        try:
-            kpca_experiment(pts, sigma, 20, [400, t], trials=2, seed=24)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        embedding, fmap = 8 * n * 2 * t, 8 * t * dim
-        assert peak <= embedding + fmap + rffkd.features.BLOCK_BYTES + 4 * 8 * n * n
+        peak = traced_peak(kpca_experiment, pts, sigma, 20, [400, t], 2, 24)
+        assert peak <= 8 * t * dim + GRAM_BLOCK_BYTES + 4 * 8 * n * n
+
+    def test_peak_grows_with_t_by_the_map_alone(self):
+        """Doubling t from 1600 to 3200 raises the peak by the map's growth and
+        at most one column block, not by the n x 2t growth of an embedding."""
+        n, dim = 250, 256
+        pts = synth_dataset(n, dim, 10, seed=23)
+        sigma = Bandwidth(16.0)
+        kpca_experiment(pts, sigma, 2, [8], trials=1, seed=0)  # lazy imports stay outside the peak
+        small, large = (traced_peak(kpca_experiment, pts, sigma, 20, [t], 1, 27) for t in (1600, 3200))
+        assert large - small <= 8 * 1600 * dim + GRAM_BLOCK_BYTES
 
     @pytest.mark.parametrize(
         "variant, k, t_list, named",
